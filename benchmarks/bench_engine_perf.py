@@ -7,12 +7,11 @@ regression) is visible:
 * end-to-end run throughput in simulated-tasks per wall-second;
 * offline planning throughput (heuristic list scheduler) in tasks/s;
 * epoch cost with a non-trivial preemption policy attached;
-* the kernel hot path at fig-8 scale — epoch ticks per wall-second with
-  the incremental scheduling core (struct-of-arrays array core +
-  delta-driven view cache) on vs the always-recompute object path
-  (results must be identical; the numbers land in ``BENCH_engine.json``
-  at the repo root, and ``scripts/bench_guard.py`` re-runs the same
-  recipe in CI to catch regressions against that committed baseline).
+* the kernel hot path at fig-8 scale — epoch ticks per wall-second
+  through the struct-of-arrays array core and the delta-driven view
+  cache (the numbers land in ``BENCH_engine.json`` at the repo root, and
+  ``scripts/bench_guard.py`` re-runs the same recipe in CI to catch
+  regressions against that committed baseline).
 
 Unlike the figure benches these use multiple rounds — the point *is* the
 timing distribution.
@@ -50,8 +49,7 @@ FIG8_SCALE = 40.0
 #: The hot-path recipe ticks the epoch loop at 5 s (vs the end-to-end
 #: benches' 60 s) so the measured wall time is dominated by the code the
 #: bench is about — per-tick scheduling work — rather than by the fixed
-#: per-run costs (scheduling rounds, arrival/finish handling) that are
-#: identical on both sides and would otherwise cap the observable ratio.
+#: per-run costs (scheduling rounds, arrival/finish handling).
 FIG8_SIM = SimConfig(epoch=5.0, scheduling_period=300.0)
 BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
@@ -85,17 +83,14 @@ def test_perf_end_to_end_null_policy(benchmark):
     assert m.tasks_completed == WORKLOAD.num_tasks
 
 
-def _fig8_hot_path(incremental: bool, journal_path=None):
+def _fig8_hot_path(journal_path=None):
     """One DSP-preemption run at fig-8 scale.
 
-    *incremental* toggles the whole incremental scheduling core at once
-    (``array_core`` + ``sched_index`` + ``views_cache``) against the
-    always-recompute object path; *journal_path* additionally enables
-    the write-ahead run journal (the durability overhead the guard
-    bounds).  Returns (metrics dict, epoch ticks observed on the bus,
-    wall seconds, view rebuilds, scoring-seam-or-None).  This is the
-    recipe ``scripts/bench_guard.py`` imports — keep it deterministic
-    (fixed seed, no warm-up inside).
+    *journal_path* enables the write-ahead run journal (the durability
+    overhead the guard bounds).  Returns (metrics dict, epoch ticks
+    observed on the bus, wall seconds, view rebuilds, array core).  This
+    is the recipe ``scripts/bench_guard.py`` imports — keep it
+    deterministic (fixed seed, no warm-up inside).
     """
     from repro.sim import EpochTick, SimEngine
 
@@ -107,11 +102,7 @@ def _fig8_hot_path(incremental: bool, journal_path=None):
         CLUSTER, workload.jobs,
         DSPScheduler(CLUSTER, CONFIG, ilp_task_limit=0),
         preemption=DSPPreemption(CONFIG), dsp_config=CONFIG,
-        sim_config=FIG8_SIM.replace(
-            views_cache=incremental,
-            sched_index=incremental,
-            array_core=incremental,
-        ),
+        sim_config=FIG8_SIM,
         journal=journal_path,
     )
     ticks = 0
@@ -127,40 +118,38 @@ def _fig8_hot_path(incremental: bool, journal_path=None):
     assert metrics.tasks_completed == workload.num_tasks
     return (
         metrics.as_dict(), ticks, wall,
-        engine.runtime.views.rebuilds, engine.runtime.sched,
+        engine.runtime.views.rebuilds, engine.runtime.array,
     )
 
 
 def measure_hot_path(rounds: int = 3) -> dict:
-    """Best-of-*rounds* hot-path comparison (warm-up run excluded).
+    """Best-of-*rounds* hot-path timing (warm-up run excluded); every
+    round must reproduce the first round's metrics and tick count.
 
     Shared by the pytest bench below and ``scripts/bench_guard.py`` so
     CI measures exactly what the committed baseline recorded.
     """
-    _fig8_hot_path(incremental=True)  # warm-up: imports, allocator, JIT-ish caches
+    _fig8_hot_path()  # warm-up: imports, allocator, JIT-ish caches
 
-    results = {}
-    for mode, name in ((True, "incremental"), (False, "recompute")):
-        metrics = ticks = rebuilds = index = None
-        walls = []
-        for _ in range(rounds):
-            m, t, wall, rb, idx = _fig8_hot_path(incremental=mode)
-            if metrics is None:
-                metrics, ticks, rebuilds, index = m, t, rb, idx
-            else:
-                assert m == metrics, "hot path is not deterministic"
-                assert t == ticks
-            walls.append(wall)
-        results[name] = {
-            "metrics": metrics, "ticks": ticks, "wall": min(walls),
-            "rebuilds": rebuilds, "index": index,
-        }
-    return results
+    metrics = ticks = rebuilds = core = None
+    walls = []
+    for _ in range(rounds):
+        m, t, wall, rb, arr = _fig8_hot_path()
+        if metrics is None:
+            metrics, ticks, rebuilds, core = m, t, rb, arr
+        else:
+            assert m == metrics, "hot path is not deterministic"
+            assert t == ticks
+        walls.append(wall)
+    return {
+        "metrics": metrics, "ticks": ticks, "wall": min(walls),
+        "rebuilds": rebuilds, "core": core,
+    }
 
 
 def measure_journal_overhead(rounds: int = 6) -> dict:
-    """Paired journal-off vs journal-on comparison, incremental core on
-    both sides (the production configuration).
+    """Paired journal-off vs journal-on comparison of the hot-path
+    recipe.
 
     The journal is a pure observer — both runs must produce identical
     RunMetrics — so the only legitimate cost is serialization + buffered
@@ -181,7 +170,7 @@ def measure_journal_overhead(rounds: int = 6) -> dict:
     import statistics
     import tempfile
 
-    _fig8_hot_path(incremental=True)  # warm-up
+    _fig8_hot_path()  # warm-up
 
     results = {
         "off": {"metrics": None, "ticks": None, "wall": None,
@@ -195,9 +184,7 @@ def measure_journal_overhead(rounds: int = 6) -> dict:
         for pair in range(rounds):
             order = (("off", None), ("on", journal))
             for name, path in (order if pair % 2 == 0 else order[::-1]):
-                m, t, wall, _rb, _idx = _fig8_hot_path(
-                    incremental=True, journal_path=path
-                )
+                m, t, wall, _rb, _core = _fig8_hot_path(journal_path=path)
                 slot = results[name]
                 if slot["metrics"] is None:
                     slot["metrics"], slot["ticks"] = m, t
@@ -223,28 +210,18 @@ def measure_journal_overhead(rounds: int = 6) -> dict:
 
 @pytest.mark.benchmark(group="perf")
 def test_perf_kernel_hot_path_incremental():
-    """Epoch ticks per wall-second at fig-8 scale, incremental scheduling
-    core on vs always-recompute.
+    """Epoch ticks per wall-second at fig-8 scale through the array core.
 
-    The core is a pure memoization layer: both runs must produce
-    identical RunMetrics and identical tick counts, the view cache and
-    priority index must actually engage when on and stay out of the way
-    when off.  Wall-clock numbers (for the tracked record — the CI floor
-    lives in scripts/bench_guard.py, not here, so local noise can't fail
-    the suite) are persisted to BENCH_engine.json.
+    Every round must reproduce the same RunMetrics and tick count, and
+    the view cache and the score cache must actually engage.  Wall-clock
+    numbers (for the tracked record — the CI floor lives in
+    scripts/bench_guard.py, not here, so local noise can't fail the
+    suite) are persisted to BENCH_engine.json.
     """
-    results = measure_hot_path(rounds=3)
-    inc, rec = results["incremental"], results["recompute"]
-
-    assert inc["metrics"] == rec["metrics"], (
-        "incremental scheduling core changed simulation results"
-    )
-    assert inc["ticks"] == rec["ticks"]
-    assert inc["rebuilds"] > 0  # the view cache actually engaged...
-    assert rec["rebuilds"] == 0  # ...and the disabled path never builds
-    index = inc["index"]
-    assert index is not None and index.hits > 0  # the score memo paid off
-    assert rec["index"] is None  # recompute path carries no index
+    inc = measure_hot_path(rounds=3)
+    assert inc["rebuilds"] > 0  # the view cache actually engaged
+    core = inc["core"]
+    assert core.hits > 0  # the score cache paid off
 
     per_s = lambda r: r["ticks"] / r["wall"]  # noqa: E731
     journal = measure_journal_overhead(rounds=6)
@@ -260,15 +237,9 @@ def test_perf_kernel_hot_path_incremental():
             "wall_s": round(inc["wall"], 4),
             "epoch_ticks_per_s": round(per_s(inc), 2),
             "view_rebuilds": inc["rebuilds"],
-            "index_hits": index.hits,
-            "index_misses": index.misses,
-            "index_hit_rate": round(index.stats()["hit_rate"], 4),
-        },
-        "recompute": {
-            "epoch_ticks": rec["ticks"],
-            "wall_s": round(rec["wall"], 4),
-            "epoch_ticks_per_s": round(per_s(rec), 2),
-            "view_rebuilds": rec["rebuilds"],
+            "index_hits": core.hits,
+            "index_misses": core.misses,
+            "index_hit_rate": round(core.stats()["hit_rate"], 4),
         },
         "journal": {
             "protocol": {"rounds": 6, "interleaved": True,
@@ -280,8 +251,6 @@ def test_perf_kernel_hot_path_incremental():
             "journal_bytes": j_on["journal_bytes"],
             "results_identical": True,
         },
-        "speedup": round(per_s(inc) / per_s(rec), 3),
-        "results_identical": True,
     }, indent=2) + "\n")
 
 
@@ -303,32 +272,26 @@ def test_perf_end_to_end_dsp_policy(benchmark):
 
 
 def _profile_hot_path() -> None:
-    """cProfile the incremental hot path (one warmed run), top 25 by
-    cumulative time — the first stop when the speedup guard trips."""
+    """cProfile the hot path (one warmed run), top 25 by cumulative
+    time — the first stop when the throughput guard trips."""
     import cProfile
     import pstats
 
-    _fig8_hot_path(incremental=True)  # warm-up
+    _fig8_hot_path()  # warm-up
     profiler = cProfile.Profile()
     profiler.enable()
-    _fig8_hot_path(incremental=True)
+    _fig8_hot_path()
     profiler.disable()
     pstats.Stats(profiler).sort_stats("cumulative").print_stats(25)
 
 
 def _print_summary() -> None:
-    results = measure_hot_path(rounds=3)
-    inc, rec = results["incremental"], results["recompute"]
-    per_s = lambda r: r["ticks"] / r["wall"]  # noqa: E731
-    stats = inc["index"].stats()
+    inc = measure_hot_path(rounds=3)
+    stats = inc["core"].stats()
     print(f"kernel hot path ({FIG8_JOBS} jobs, scale {FIG8_SCALE}, "
           f"epoch {FIG8_SIM.epoch:g}s):")
-    print(f"  incremental: {inc['ticks']} ticks in {inc['wall']:.3f}s "
-          f"({per_s(inc):.1f} ticks/s)")
-    print(f"  recompute:   {rec['ticks']} ticks in {rec['wall']:.3f}s "
-          f"({per_s(rec):.1f} ticks/s)")
-    print(f"  speedup: {per_s(inc) / per_s(rec):.2f}x  "
-          f"(results identical: {inc['metrics'] == rec['metrics']})")
+    print(f"  {inc['ticks']} ticks in {inc['wall']:.3f}s "
+          f"({inc['ticks'] / inc['wall']:.1f} ticks/s)")
     print(f"  score cache: {stats['hits']} hits / {stats['misses']} misses "
           f"(hit rate {stats['hit_rate']:.1%})")
 
@@ -341,7 +304,7 @@ if __name__ == "__main__":
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="cProfile the incremental hot path instead of timing it",
+        help="cProfile the hot path instead of timing it",
     )
     if parser.parse_args().profile:
         _profile_hot_path()

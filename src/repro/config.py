@@ -11,7 +11,6 @@ scheduler, preemption engine and simulator so a run is fully described by
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
 
 from ._util import check_fraction, check_non_negative, check_positive
@@ -154,36 +153,6 @@ class SimConfig:
         When True, the metrics collector retains per-task latency samples
         (queue wait + execution span per task) for distributional reports;
         memory-heavier, so off by default.
-    views_cache:
-        When True (default), the engine's :class:`~repro.sim.views.ViewCache`
-        reuses each node's structural snapshot content (static task
-        attributes, ancestor∩running dependency sets) across epoch ticks,
-        rebuilding only nodes whose running-set membership changed.  False
-        recomputes everything per tick — identical behaviour, only slower
-        (a debugging/benchmark knob).
-    sched_index:
-        When True (default), the engine maintains the incremental
-        Eq. 12–13 priority index (:mod:`repro.sim.sched_core`) as a bus
-        subscriber and policies/resilience score through it; False drops
-        the index and every consumer falls back to its stateless
-        evaluator.  Results are identical either way (asserted by
-        ``tests/test_sched_core.py``) — like ``views_cache``, a pure
-        performance/debugging knob.  Superseded by ``array_core``: while
-        the array core is on it takes the scoring seam and this knob is
-        inert.
-    array_core:
-        When True (default), the engine maintains the struct-of-arrays
-        state mirror (:mod:`repro.sim.arraycore`) as a bus subscriber:
-        priority scoring runs as vectorized Eq. 12–13 passes, and the
-        dispatcher's queue scan, the stall-timeout sweep and TaskView
-        signal assembly run as numpy masks over the mirror instead of
-        Python loops over runtime objects.  False falls back to the
-        object-model hot path (``sched_index``/``views_cache`` then
-        apply as before).  Results are byte-identical either way
-        (asserted by ``tests/test_sched_core.py``); the default honours
-        the ``REPRO_ARRAY_CORE`` environment variable (``0``/``false``/
-        ``off`` disable) so CI can run the object path without touching
-        call sites.
     invariants:
         Runtime invariant checking (:mod:`repro.sim.invariants`).
         ``"off"`` (default) attaches nothing — zero overhead, byte-identical
@@ -195,12 +164,11 @@ class SimConfig:
         When True, the engine attaches a
         :class:`~repro.sim.frontier.RetirementManager` that evicts each
         fully-completed job's state end-to-end — `SimState` maps,
-        ArrayCore rows back onto the dense-id free list,
-        ViewCache/PriorityIndex entries — folding its per-task metrics
-        into compact aggregates, so a streaming replay over millions of
-        tasks holds only the live window.  Off by default: batch runs
-        keep full per-task metrics and exact legacy float-summation
-        order.
+        ArrayCore rows back onto the dense-id free list, ViewCache
+        entries — folding its per-task metrics into compact aggregates,
+        so a streaming replay over millions of tasks holds only the live
+        window.  Off by default: batch runs keep full per-task metrics
+        and exact legacy float-summation order.
     retire_batch:
         Retire in batches of N completed jobs (sweeps run at settled
         points, after the event that finished the Nth job).  1 retires
@@ -211,13 +179,6 @@ class SimConfig:
     scheduling_period: float = 300.0
     horizon: float = 10_000_000.0
     collect_task_samples: bool = False
-    views_cache: bool = True
-    sched_index: bool = True
-    array_core: bool = field(
-        default_factory=lambda: os.environ.get(
-            "REPRO_ARRAY_CORE", "1"
-        ).lower() not in ("0", "false", "off")
-    )
     invariants: str = "off"
     retire_completed: bool = False
     retire_batch: int = 1

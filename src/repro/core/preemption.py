@@ -29,17 +29,18 @@ Only running tasks whose allowable waiting time exceeds the epoch length
 are *preemptable* — evicting anything tighter would make it miss its own
 deadline (§IV-B).
 
-Priorities come from Eq. 12–13.  When the engine exposes its incremental
-:class:`~repro.sim.sched_core.PriorityIndex` (``SimConfig.sched_index``,
-on by default) and that index scores with the same parameters as this
-policy's config, scores are read from it — the index memoizes across
-nodes and epochs and only re-walks invalidated ancestor chains.
-Otherwise (index disabled, or a policy configured with different
-weights than the engine) the policy falls back to its own stateless
-:class:`~repro.core.priority.PriorityEvaluator`, evaluated lazily over
-the descendant subgraphs of the tasks in the snapshot with live signals
-from the engine's :class:`~repro.sim.engine.SimContext`.  Both paths
-produce bit-identical scores (asserted by ``tests/test_sched_core.py``).
+Priorities come from Eq. 12–13.  When this policy's config scores like
+the engine's (same γ and ω weights), the policy adopts the engine's
+:class:`~repro.sim.arraycore.ArrayCore` and runs Algorithm 1 straight off
+its columns (:meth:`DSPPreemption.select_preemptions_from_core`), with no
+``TaskView`` snapshot at all.  Otherwise the engine hands it snapshots
+(:meth:`DSPPreemption.select_preemptions`) and the policy scores them
+itself with :func:`~repro.core.priority.priorities_for`, evaluated lazily
+over the descendant subgraphs of the snapshot's tasks through the
+engine's live children map and signals
+(:class:`~repro.sim.engine.SimContext`).  The snapshot path is also the
+test oracle for the column path: ``tests/test_sched_core.py`` checks the
+two decide identically at every epoch of a seeded chaos run.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from ..sim.policy import (
     TaskView,
     preemptable_victims,
 )
-from .priority import PriorityEvaluator
+from .priority import priorities_for
 
 __all__ = ["DSPPreemption"]
 
@@ -77,45 +78,31 @@ class DSPPreemption(PreemptionPolicy):
     def __init__(self, config: DSPConfig | None = None):
         self._config = config or DSPConfig()
         self.name = "DSP" if self._config.use_pp else "DSPW/oPP"
-        self._evaluator: PriorityEvaluator | None = None
-        self._index = None
         self._core = None
         self._ctx = None
 
     # -- engine handshake ---------------------------------------------------
     def attach(self, ctx) -> None:
-        """Receive the engine facade; adopt the engine's incremental
-        scoring seam when it scores with this policy's parameters (see
-        module docstring), and build the stateless Eq. 12 evaluator over
-        the full static task set as the fallback.  When the adopted seam
-        is the struct-of-arrays :class:`~repro.sim.arraycore.ArrayCore`,
-        the epoch victim scan additionally runs straight off its columns
-        (:meth:`select_preemptions_from_core`) — no ``TaskView``
-        materialization at all."""
-        from ..sim.arraycore import ArrayCore
-
+        """Receive the engine facade and adopt the engine's array core
+        when it scores with this policy's parameters (see module
+        docstring); otherwise score snapshots through the facade."""
         self._ctx = ctx
-        self._evaluator = PriorityEvaluator(self._config, ctx.tasks)
-        index = getattr(ctx, "priority_index", None)
-        self._index = (
-            index if index is not None and index.scores_like(self._config) else None
+        core = getattr(ctx, "priority_index", None)
+        self._core = (
+            core if core is not None and core.scores_like(self._config) else None
         )
-        self._core = self._index if isinstance(self._index, ArrayCore) else None
 
     # -- decision logic -------------------------------------------------------
     def _priorities(self, view: NodeView) -> dict[str, float]:
-        """Eq. 12–13 scores for every task in the snapshot — from the
-        shared incremental index when adopted, else recomputed with live
-        signals pulled from the engine context."""
-        assert self._evaluator is not None and self._ctx is not None, (
-            "DSPPreemption used before attach()"
-        )
-        wanted = [t.task_id for t in view.running] + [t.task_id for t in view.waiting]
-        if self._index is not None:
-            return self._index.priorities(wanted)
+        """Eq. 12–13 scores for every task in the snapshot, recomputed
+        over the engine's live children map and signals."""
         ctx = self._ctx
-        return self._evaluator.compute_for(
+        assert ctx is not None, "DSPPreemption used before attach()"
+        wanted = [t.task_id for t in view.running] + [t.task_id for t in view.waiting]
+        return priorities_for(
+            self._config,
             wanted,
+            ctx.children,
             remaining_fn=ctx.remaining_time,
             waiting_fn=ctx.waiting_time,
             allowable_fn=ctx.allowable_wait,
@@ -205,19 +192,16 @@ class DSPPreemption(PreemptionPolicy):
     ) -> Sequence[PreemptionDecision] | None:
         """Algorithm 1 straight off the adopted array core's columns.
 
-        Behaviourally identical to :meth:`select_preemptions` over a
-        freshly built :class:`~repro.sim.policy.NodeView` — same visit
-        order (the view cache's ``node_order``), same signals (one
-        ``view_signals`` pass), same score generation — but skips
-        materializing ``TaskView`` objects entirely, which dominates the
-        snapshot path's epoch cost.  The byte-identical ``array_core``
-        on/off parity test in ``tests/test_sched_core.py`` holds the two
-        paths together.
+        Decides exactly as :meth:`select_preemptions` over a freshly
+        built :class:`~repro.sim.policy.NodeView` — same visit order (the
+        view cache's ``node_order``), same signals, same scores — but
+        skips materializing ``TaskView`` objects entirely, which
+        dominates the snapshot path's epoch cost.  An Algorithm 1 oracle
+        in ``tests/test_sched_core.py`` holds the two paths together.
 
         Returns ``None`` when this policy has not adopted the engine's
-        array core (different scoring parameters, or the engine runs the
-        priority index / recompute path) — the caller then falls back to
-        the snapshot protocol.
+        array core (different scoring parameters); the caller then falls
+        back to the snapshot protocol.
         """
         core = self._core
         if core is None:

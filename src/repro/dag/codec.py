@@ -11,10 +11,10 @@ no pickle) so snapshots can embed them and the memory watchdog can spill
 shed jobs to disk for later resubmission.
 
 Order is part of the contract: tasks serialize in the job's insertion
-order and jobs must be resubmitted in the listed order — the scoring
-seam's live-dependent lists replicate insertion-order construction
-bit-for-bit (see :mod:`repro.sim.sched_core`), so a reordered rebuild
-would change float summation order.
+order and jobs must be resubmitted in the listed order — the array
+core's child lists replicate insertion-order construction bit-for-bit
+(see :mod:`repro.sim.arraycore`), so a reordered rebuild would change
+float summation order.
 """
 
 from __future__ import annotations

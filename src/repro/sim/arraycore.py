@@ -8,8 +8,7 @@ dense integer row id per task, and rewrites the three per-epoch inner
 loops against it:
 
 * **priority scoring** — Eq. 12–13 evaluated for the whole live task set
-  in one vectorized pass per (clock, version) generation, replacing the
-  per-task memo walk of :class:`~repro.sim.sched_core.PriorityIndex`;
+  in one vectorized pass per (clock, version) generation;
 * **victim/eligibility scans** — the dispatcher's queue scan and the
   stall-timeout sweep become boolean masks over the columns instead of
   Python loops over runtime objects;
@@ -18,15 +17,17 @@ loops against it:
 
 Consistency model
 -----------------
-The mirror is a first-class bus subscriber, attached in the scheduling-
-core slot (directly after the view cache).  Every task-bearing event
-re-reads the touched :class:`TaskRuntime` into its row — the mirror never
-duplicates mutation logic, it only *copies* fields the mutators already
-wrote before emitting, so a missed formula cannot diverge, only a missed
-event can (and the after-every-event exact-equality harness in
-``tests/test_sched_core.py`` exists to catch exactly that).  World-
-shifting events (scheduling rounds, faults, backlog re-homing) trigger a
-full resync — they are rare and may move state without per-task events.
+The mirror is a first-class bus subscriber, attached directly after the
+view cache.  Every task-bearing event re-reads the touched
+:class:`TaskRuntime` into its row — the mirror never duplicates mutation
+logic, it only *copies* fields the mutators already wrote before
+emitting, so a missed formula cannot diverge, only a missed event can
+(and the after-every-event oracle in ``tests/test_sched_core.py``, which
+compares every score against a fresh
+:class:`~repro.core.priority.PriorityEvaluator`, exists to catch exactly
+that).  World-shifting events (scheduling rounds, faults, backlog
+re-homing) trigger a full resync — they are rare and may move state
+without per-task events.
 ``TaskFinished`` additionally mirrors the two *post-emit* mutations the
 completion path performs (decrementing children's unfinished-parent
 counts and the parents' live-dependent counts), because consumers may
@@ -60,8 +61,13 @@ dirty them (a freed row's parents belong to the same completed job, so
 stale level entries only ever write garbage into rows nothing reads).
 
 On snapshot restore the mirror is rebuilt from the restored object state
-and *asserted* against an independent derivation, exactly like the
-priority index (see :meth:`ArrayCore.rebuild_and_assert`).
+and *asserted* against an independent derivation (see
+:meth:`ArrayCore.rebuild_and_assert`).
+
+This is the engine's only scoring and scanning path: the object-model
+loops it replaced survive only as test oracles
+(``tests/test_arraycore.py`` for the dispatch and stall scans,
+``tests/test_sched_core.py`` for scoring and Algorithm 1).
 """
 
 from __future__ import annotations
@@ -73,7 +79,6 @@ import numpy as np
 from .._util import EPS
 from ..dag.task import TaskState
 from . import kernel as k
-from .sched_core import _REMAINING_FLOOR, _TASK_EVENTS, _WORLD_EVENTS
 from .state import SimRuntime
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -90,6 +95,53 @@ _STALLED = _STATE_CODE[TaskState.STALLED]
 _COMPLETED = _STATE_CODE[TaskState.COMPLETED]
 
 _NAN = float("nan")
+
+#: Floor applied to remaining time before taking its reciprocal (mirrors
+#: :data:`repro.core.priority._REMAINING_FLOOR`).
+_REMAINING_FLOOR = 1e-6
+
+#: Events that change one task's runtime signals or stint state: the
+#: task's row is re-read from its runtime object.
+_TASK_EVENTS = (
+    k.TaskStarted,
+    k.TaskStalled,
+    k.TaskStallEnded,
+    k.TaskStallEvicted,
+    k.TaskWaitAccrued,
+    k.TaskPreempted,
+    k.TaskSuspended,
+    k.TaskAttemptFailed,
+    k.TaskPaused,
+    k.TaskResumed,
+    k.TransferStarted,
+    k.RetryDispatched,
+    k.SpeculationWon,
+    k.TaskDrainMigrated,
+)
+
+#: Events after which whole-world signals may have shifted — node rates
+#: (mean-rate consumers), queue re-homing (per-task node lookups) or a
+#: scheduling round planning a fresh batch: the whole mirror resyncs.
+#: ``TaskRetimed`` lives here, not with the task events: it only fires
+#: after ``retime_node`` changed the *node's* rate, which moves the
+#: scores of every task assigned to that node — queued ones included.
+_WORLD_EVENTS = (
+    k.RoundTick,
+    k.FaultInjected,
+    k.NodeFailed,
+    k.NodeRecovered,
+    k.NodeRetimed,
+    k.TaskRetimed,
+    k.NodePartitioned,
+    k.NodeHealed,
+    k.NodeQuarantined,
+    k.BacklogReassigned,
+    # Elastic membership: node-set changes move the cluster mean rate
+    # (and with it every unassigned task's score).
+    k.NodeJoined,
+    k.NodeDecommissioned,
+    k.DrainAborted,
+)
 
 
 class DenseIds:
@@ -130,12 +182,12 @@ class DenseIds:
 class ArrayCore:
     """Struct-of-arrays mirror + vectorized Eq. 12–13 scoring.
 
-    Exposes the same consumer protocol as
-    :class:`~repro.sim.sched_core.PriorityIndex` (``priorities``,
-    ``scores_like``, ``register_job``, ``attach``, the observability
-    counters and ``stats()``), so ``SimRuntime.sched`` can hold either
-    and every consumer — the DSP policy, the resilience retry ranking,
-    the snapshot counters — works unchanged.
+    Held by the runtime as ``SimRuntime.array``.  Consumers — the DSP
+    policy, the resilience retry ranking, the dispatcher, the stall
+    sweep, the view cache and the snapshot counters — use
+    ``priorities``/``scores_at``, ``scores_like``, the scans and
+    ``stats()``; the engine drives ``attach``, ``register_job`` and
+    ``retire_tasks``.
     """
 
     def __init__(self, runtime: SimRuntime) -> None:
@@ -198,8 +250,7 @@ class ArrayCore:
         self._scores_version = -1
         self._version = 0
 
-        # Observability counters (same attribute names as PriorityIndex —
-        # the snapshot layer reads them duck-typed).
+        # Observability counters (round-tripped by snapshots).
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -211,14 +262,10 @@ class ArrayCore:
 
     # -------------------------------------------------------------- wiring
     def attach(self, bus: k.EventBus) -> None:
-        """Subscribe the mirror maintenance (scheduling-core bus slot,
-        directly after the view cache)."""
+        """Subscribe the mirror maintenance (directly after the view
+        cache on the bus)."""
         bus.subscribe(k.TaskFinished, self._on_finished)
         bus.subscribe(_TASK_EVENTS, self._on_task_event)
-        # TaskStallEnded is not in the index's taxonomy (it is always
-        # followed by a covered event) but syncing on it keeps the mirror
-        # current at every intermediate instant.
-        bus.subscribe(k.TaskStallEnded, self._on_task_event)
         bus.subscribe(_WORLD_EVENTS, self._on_world_event)
 
     def register_job(self, job) -> None:
@@ -237,7 +284,7 @@ class ArrayCore:
             else:
                 self._id_of[row] = tid
         # Children in the same insertion order the stateless evaluator
-        # (and PriorityIndex) build: iterate tasks, append to each parent.
+        # builds: iterate tasks, append to each parent.
         for task in job.tasks.values():
             for parent in task.parents:
                 self._child_rows[rows[parent]].append(rows[task.task_id])
@@ -259,8 +306,8 @@ class ArrayCore:
 
     def scores_like(self, config: "DSPConfig") -> bool:
         """True when *config* parameterizes Eq. 12–13 identically to the
-        engine config this core scores with (the policy adoption guard —
-        same contract as :meth:`PriorityIndex.scores_like`)."""
+        engine config this core scores with — the guard a policy checks
+        before adopting the core instead of scoring snapshots itself."""
         cfg = self._rt.dsp_config
         return (
             config.gamma == cfg.gamma
@@ -651,11 +698,11 @@ class ArrayCore:
     def stall_timeout_candidates(
         self, now: float, timeout: float
     ) -> list[str]:
-        """Stalled tasks whose stall stint reached *timeout*, ordered as
-        the object-path sweep visits them: node insertion order, then
-        sorted task id.  Callers re-verify each against live state before
-        suspending (handlers of an earlier eviction may have moved a
-        later candidate)."""
+        """Stalled tasks whose stall stint reached *timeout*, in node
+        order (position in the node table), then sorted task id.
+        Callers re-verify each against live state before suspending
+        (handlers of an earlier eviction may have moved a later
+        candidate)."""
         n = self._ids.capacity
         ss = self._stall_start[:n]
         with np.errstate(invalid="ignore"):
@@ -762,8 +809,8 @@ class ArrayCore:
     # --------------------------------------------------- snapshot/restore
     def rebuild_and_assert(self) -> None:
         """Rebuild the mirror from restored object state and assert it
-        against an independent derivation (the snapshot-restore contract,
-        mirroring the priority index's rebuild).
+        against an independent derivation (the snapshot-restore
+        contract).
 
         Raises ``repro.sim.snapshot.SnapshotError`` on any mismatch —
         a wrong row mapping or a live-dependent count that disagrees with

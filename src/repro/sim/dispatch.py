@@ -135,30 +135,15 @@ class DispatchSubsystem:
         if any(gate(node.node_id) for gate in rt.state.dispatch_gates):
             return
         now = rt.now
-        if rt.array is not None:
-            # Vectorized candidate scan over the array mirror: same
-            # predicates, same (planned_start, task_id) order as the
-            # queue walk below.  The retry gate and the capacity check
-            # stay per-candidate — they read live state that changes as
-            # earlier candidates start.
-            for tid in rt.array.dispatch_candidates(
-                node, now, rt.dependency_aware
-            ):
-                task = rt.state.tasks[tid]
-                if now + EPS < task.retry_not_before:
-                    continue  # retry still serving its backoff
-                if node.fits(task.task.demand):
-                    self.start_task(task, node)
-            return
-        for tid in node.queued_ids():
+        # Candidates come off the array mirror in queue order
+        # ((planned_start, task_id)), already filtered by the state
+        # predicates.  The retry gate and the capacity check stay
+        # per-candidate: they read live state that changes as earlier
+        # candidates start.
+        for tid in rt.array.dispatch_candidates(node, now, rt.dependency_aware):
             task = rt.state.tasks[tid]
             if now + EPS < task.retry_not_before:
                 continue  # retry still serving its backoff
-            if not task.is_runnable:
-                if rt.dependency_aware or task.stall_banned:
-                    continue
-                if now + EPS < task.planned_start:
-                    continue
             if node.fits(task.task.demand):
                 self.start_task(task, node)
 

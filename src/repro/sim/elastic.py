@@ -334,8 +334,7 @@ class ElasticSubsystem:
         rt.state.nodes[node_id] = node
         if rt.resilience is not None:
             rt.resilience.add_node(node_id)
-        if rt.array is not None:
-            rt.array.add_node(node)
+        rt.array.add_node(node)
         now = rt.now
         rt.bus.emit(k.NodeJoined(now, node_id))
         # The offline planner only ever targets the construction-time
@@ -483,8 +482,7 @@ class ElasticSubsystem:
         node.membership = DECOMMISSIONED
         del rt.state.nodes[node_id]
         rt.views.drop_node(node_id)
-        if rt.array is not None:
-            rt.array.remove_node(node_id)
+        rt.array.remove_node(node_id)
         if rt.resilience is not None:
             rt.resilience.forget_node(node_id)
         rt.bus.emit(k.NodeDecommissioned(now, node_id, now - started, migrated))

@@ -87,7 +87,6 @@ from .metrics import MetricsCollector, RunMetrics
 from .policy import NullPreemption, PreemptionPolicy
 from .preemption_exec import PreemptionExecutor
 from .resilience import ResilienceManager
-from .sched_core import PriorityIndex
 from .snapshot import SnapshotManager, load_snapshot, restore_into, snapshot_engine
 from .state import SimRuntime, build_state
 from .tracelog import TraceLog
@@ -142,16 +141,12 @@ class SimContext:
         return self._rt.sim_config.epoch
 
     @property
-    def priority_index(self) -> "PriorityIndex | ArrayCore | None":
-        """The engine's incremental Eq. 12–13 scoring seam — the
-        vectorized :class:`~repro.sim.arraycore.ArrayCore` when
-        ``SimConfig.array_core`` is on, the
-        :class:`~repro.sim.sched_core.PriorityIndex` when only
-        ``sched_index`` is on, ``None`` otherwise.  Both expose the same
-        protocol; a policy should adopt the seam only after checking
-        ``scores_like`` against its own config, falling back to a
-        stateless evaluator otherwise."""
-        return self._rt.sched
+    def priority_index(self) -> ArrayCore:
+        """The engine's Eq. 12–13 scorer, the vectorized
+        :class:`~repro.sim.arraycore.ArrayCore`.  A policy should adopt
+        it only after checking ``scores_like`` against its own config,
+        scoring through the view protocol otherwise."""
+        return self._rt.array
 
     def now(self) -> float:
         """Current simulation clock."""
@@ -188,8 +183,7 @@ class SimEngine:
         Online policy evaluated per epoch; defaults to
         :class:`~repro.sim.policy.NullPreemption`.
     dsp_config, sim_config:
-        Parameter sets (Table II and run cadence).  ``sim_config.views_cache``
-        selects the incremental snapshot cache (on by default).
+        Parameter sets (Table II and run cadence).
     task_deadlines:
         Optional per-task absolute deadlines (the §IV-B level rule,
         computed by :func:`repro.core.levels.task_deadlines`); defaults to
@@ -340,21 +334,14 @@ class SimEngine:
         rt.dispatch = DispatchSubsystem(rt)
         rt.preemption = PreemptionExecutor(rt)
         rt.faults = FaultSubsystem(rt)
-        # The scoring seam: the array core supersedes the priority index
-        # when on (it exposes the same consumer protocol); with it off
-        # the object path is wired exactly as before.
-        if sim_config.array_core:
-            rt.array = ArrayCore(rt)
-            rt.sched = rt.array
-        else:
-            rt.array = None
-            rt.sched = PriorityIndex(rt) if sim_config.sched_index else None
+        # The scoring core: the struct-of-arrays mirror every hot loop
+        # (scoring, victim scans, view assembly) reads.
+        rt.array = ArrayCore(rt)
         rt.views = ViewCache(
             state,
             epoch=sim_config.epoch,
             queue_limit=view_queue_limit,
             max_preemptions=max_preemptions_per_task,
-            enabled=sim_config.views_cache,
             core=rt.array,
         )
         rt.metrics = MetricsCollector(
@@ -381,15 +368,13 @@ class SimEngine:
         # — no other subsystem ever schedules it.
 
         # Bus subscribers, in canonical order (docs/architecture.md): view
-        # invalidation first, then the scheduling-core index (its
-        # invalidations must land before any later subscriber scores
-        # through it), then accounting (metrics, trace), then the
+        # invalidation first, then the array core (its mirror must be
+        # current before any later subscriber scores through it), then accounting (metrics, trace), then the
         # resilience layer (which may mutate state or abort the run), and
         # the invariant checker last — it must observe the world *after*
         # every other subscriber has reacted to the same event.
         rt.views.attach(bus)
-        if rt.sched is not None:
-            rt.sched.attach(bus)
+        rt.array.attach(bus)
         rt.metrics.attach(bus)
         if rt.trace is not None:
             rt.trace.attach(bus)
@@ -621,8 +606,7 @@ class SimEngine:
             )
         rt.state.register_job(job, task_deadlines)
         rt.views.register_job(job)
-        if rt.sched is not None:
-            rt.sched.register_job(job)
+        rt.array.register_job(job)
         rt.metrics.register_job(job.job_id, job.arrival_time, job.deadline)
         for tid in job.tasks:
             rt.metrics.register_task(tid, job.job_id)

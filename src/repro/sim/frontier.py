@@ -9,7 +9,7 @@ replay holds only its *live window*:
 
 * :class:`RetirementManager` — evicts a job's state end-to-end once its
   last task finishes: :class:`~repro.sim.state.SimState` maps, the view
-  cache, the scoring seam, the resilience layer, the invariant shadow
+  cache, the array core, the resilience layer, the invariant shadow
   and the per-task metrics (folded into compact per-job aggregates by
   :meth:`~repro.sim.metrics.MetricsCollector.retire_job`).  Retirement
   is deferred to the kernel's *settle point*: completion handlers and
@@ -90,12 +90,12 @@ class RetirementManager:
 
     Per job, eviction touches every subsystem that holds per-task state,
     in dependency order: the state maps first (returning the task ids),
-    then the view cache, the scoring seam (the
-    :class:`~repro.sim.sched_core.PriorityIndex`, or the
-    :class:`~repro.sim.arraycore.ArrayCore` — which normally freed its
-    rows in-emit already, making its call a no-op except right after a
-    restore), resilience, invariants, and finally the metrics fold.  A :class:`~repro.sim.kernel.JobRetired` bus event
-    closes each eviction so the journal and any observer see it.
+    then the view cache, the :class:`~repro.sim.arraycore.ArrayCore`
+    (which normally freed its rows in-emit already, making its call a
+    no-op except right after a restore), resilience, invariants, and
+    finally the metrics fold.  A :class:`~repro.sim.kernel.JobRetired`
+    bus event closes each eviction so the journal and any observer see
+    it.
     """
 
     def __init__(self, runtime: SimRuntime, batch: int = 1) -> None:
@@ -145,9 +145,7 @@ class RetirementManager:
             )
         tids = state.retire_job(job_id)
         rt.views.retire_tasks(tids)
-        retire = getattr(rt.sched, "retire_tasks", None)
-        if callable(retire):  # PriorityIndex, or ArrayCore post-restore
-            retire(tids)
+        rt.array.retire_tasks(tids)
         if rt.resilience is not None:
             rt.resilience.retire_tasks(tids)
         if rt.invariants is not None:

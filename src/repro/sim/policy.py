@@ -20,10 +20,13 @@ victim-preference key.  That substrate lives here as
 :func:`preemptable_victims`.  The baselines (SRPT, Amoeba, Natjam)
 additionally share the greedy pairing of claimants against the cheapest
 victim under an acceptance predicate (:func:`greedy_claim`), so each
-baseline contributes only its keys and predicate.  When the engine runs
-with ``SimConfig.array_core`` on, the snapshots handed to these scans
-are assembled from the vectorized array mirror — same ``TaskView``
-values, so policy code is oblivious to the switch.
+baseline contributes only its keys and predicate.  The snapshots handed
+to these scans are assembled from the engine's vectorized array mirror
+(:class:`~repro.sim.arraycore.ArrayCore`); policy code sees only the
+``TaskView`` values.  A policy may additionally implement
+``select_preemptions_from_core(runtime, node)`` to decide straight off
+the mirror's columns (DSP does, when it scores like the engine); a
+``None`` return sends the engine back to the snapshot protocol.
 """
 
 from __future__ import annotations

@@ -183,39 +183,23 @@ class PreemptionExecutor:
         """Kick stalled tasks whose stall exceeded the timeout, freeing the
         capacity their ancestors may be waiting for (deadlock breaker)."""
         rt = self._rt
-        if rt.array is not None:
-            # Vectorized sweep: one mask over the mirror instead of a
-            # per-node walk of every running set (almost always empty —
-            # dependency-aware dispatch never stalls).  Candidates come
-            # back in the object walk's visit order (node insertion
-            # order, then sorted task id) and are re-verified against
-            # live state, mirroring the walk's at-visit-time checks.
-            for tid in rt.array.stall_timeout_candidates(
-                rt.now, rt.stall_timeout
-            ):
-                task = rt.state.tasks[tid]
-                if task.state is not TaskState.STALLED or task.node_id is None:
-                    continue
-                node = rt.state.nodes[task.node_id]
-                if node.partitioned:
-                    continue
-                if (
-                    task.stall_start is not None
-                    and rt.now - task.stall_start >= rt.stall_timeout
-                ):
-                    self.suspend(task, node, cause="stall")
-            return
-        for node in rt.state.nodes.values():
-            if node.partitioned or not node.running:
+        # One mask over the mirror instead of a per-node walk of every
+        # running set (almost always empty: dependency-aware dispatch
+        # never stalls).  Candidates come back in node order, then sorted
+        # task id, and are re-verified against live state: handlers of an
+        # earlier eviction may have moved a later candidate.
+        for tid in rt.array.stall_timeout_candidates(rt.now, rt.stall_timeout):
+            task = rt.state.tasks[tid]
+            if task.state is not TaskState.STALLED or task.node_id is None:
+                continue
+            node = rt.state.nodes[task.node_id]
+            if node.partitioned:
                 continue  # an unreachable node can't be told to evict
-            for tid in sorted(node.running):
-                task = rt.state.tasks[tid]
-                if (
-                    task.state is TaskState.STALLED
-                    and task.stall_start is not None
-                    and rt.now - task.stall_start >= rt.stall_timeout
-                ):
-                    self.suspend(task, node, cause="stall")
+            if (
+                task.stall_start is not None
+                and rt.now - task.stall_start >= rt.stall_timeout
+            ):
+                self.suspend(task, node, cause="stall")
 
     # ------------------------------------------------------------- deadlock
     def _check_progress(self) -> None:

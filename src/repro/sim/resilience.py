@@ -61,10 +61,6 @@ from .state import SimRuntime
 
 __all__ = ["ResilienceManager", "SpeculativeAttempt", "AttemptBudgetExhausted"]
 
-#: Floor applied to remaining time before taking its reciprocal (mirrors
-#: :data:`repro.core.priority._REMAINING_FLOOR`).
-_REMAINING_FLOOR = 1e-6
-
 
 class AttemptBudgetExhausted(RuntimeError):
     """A task failed more times than :attr:`ResilienceConfig.max_attempts`
@@ -109,10 +105,6 @@ class ResilienceManager:
         self._quarantined: dict[str, float] = {}  # node_id -> release time
         self._specs: dict[str, SpeculativeAttempt] = {}
         self._spec_versions: dict[str, int] = {}
-        # Insertion-order children lists for the stateless priority
-        # fallback (built lazily; must match the sched-core index's
-        # summation order so sched_index on/off rank identically).
-        self._children: dict[str, list[str]] | None = None
 
     # -------------------------------------------------------------- wiring
     def attach(self, bus: k.EventBus, kernel: k.Kernel) -> None:
@@ -163,9 +155,7 @@ class ResilienceManager:
 
         ``_quarantined`` and ``_specs`` round-trip through JSON objects,
         which preserve insertion order — release sweeps and re-time loops
-        iterate these dicts, so order is behavior-affecting.  The lazy
-        ``_children`` fallback map is derived from static structure and
-        rebuilds identically on demand.
+        iterate these dicts, so order is behavior-affecting.
         """
         return {
             "health": dict(self._health),
@@ -194,7 +184,6 @@ class ResilienceManager:
             for tid, fields in data["specs"].items()
         }
         self._spec_versions = dict(data["spec_versions"])
-        self._children = None
 
     # -------------------------------------------------- elastic membership
     def add_node(self, node_id: str) -> None:
@@ -210,14 +199,12 @@ class ResilienceManager:
 
     # ---------------------------------------------------------- retirement
     def retire_tasks(self, task_ids) -> None:
-        """Drop per-task bookkeeping for a retired (fully-completed) job
-        and invalidate the lazy ``_children`` fallback map so it rebuilds
-        from the pruned static structure on next use.  Completed jobs can
-        hold no in-flight specs — the pops are belt-and-braces."""
+        """Drop per-task bookkeeping for a retired (fully-completed) job.
+        Completed jobs can hold no in-flight specs — the pops are
+        belt-and-braces."""
         for tid in task_ids:
             self._specs.pop(tid, None)
             self._spec_versions.pop(tid, None)
-        self._children = None
 
     # ------------------------------------------------------- bus reactions
     def _on_task_finished(self, ev: k.TaskFinished) -> None:
@@ -541,68 +528,11 @@ class ResilienceManager:
         return min(candidates, key=lambda n: (self._health[n.node_id], n.node_id))
 
     def _priority_order(self, task_ids: Iterable[str]) -> list[str]:
-        """Rank *task_ids* by descending DSP priority (Eq. 12–13).
-
-        Scored through the engine's shared incremental index
-        (:mod:`repro.sim.sched_core`) when ``SimConfig.sched_index`` is
-        on; otherwise by a local stateless evaluation mirroring
-        :meth:`repro.core.priority.PriorityEvaluator.compute_for` over
-        the engine's live signals (re-implemented because the simulator
-        layer must not import :mod:`repro.core` — the scheduler is a
-        *client* of the simulator, see docs/architecture.md).  The
-        fallback sums children in the same insertion order as the index,
-        so both paths rank identically bit-for-bit."""
-        rt = self._rt
-        if rt.sched is not None:
-            ids = list(task_ids)
-            scores = rt.sched.priorities(ids)
-            return sorted(ids, key=lambda tid: (-scores[tid], tid))
-        state = rt.state
-        dsp = rt.dsp_config
-        now = rt.now
-        gamma1 = dsp.gamma + 1.0
-        memo: dict[str, float] = {}
-        children = self._children
-        if children is None:
-            children = {tid: [] for tid in state.static_tasks}
-            for task in state.static_tasks.values():
-                for parent in task.parents:
-                    children[parent].append(task.task_id)
-            self._children = children
-
-        def leaf(tid: str) -> float:
-            task = state.tasks[tid]
-            remaining = state.remaining_time(tid, now)
-            waiting = task.waiting_time_at(now)
-            allowable = task.deadline - now - remaining
-            return (
-                dsp.omega_remaining / max(remaining, _REMAINING_FLOOR)
-                + dsp.omega_waiting * waiting
-                + dsp.omega_allowable * allowable
-            )
-
-        def score(root: str) -> float:
-            stack: list[tuple[str, list[str] | None]] = [(root, None)]
-            while stack:
-                cur, live = stack.pop()
-                if live is not None:
-                    memo[cur] = gamma1 * sum(memo[c] for c in live)
-                    continue
-                if cur in memo:
-                    continue
-                live = [
-                    c
-                    for c in children[cur]
-                    if state.tasks[c].state is not TaskState.COMPLETED
-                ]
-                if live:
-                    stack.append((cur, live))
-                    stack.extend((c, None) for c in live if c not in memo)
-                else:
-                    memo[cur] = leaf(cur)
-            return memo[root]
-
-        return sorted(task_ids, key=lambda tid: (-score(tid), tid))
+        """Rank *task_ids* by descending DSP priority (Eq. 12–13), scored
+        through the engine's array core."""
+        ids = list(task_ids)
+        scores = self._rt.array.priorities(ids)
+        return sorted(ids, key=lambda tid: (-scores[tid], tid))
 
     # -------------------------------------------------------------- health
     def _observe(self, node_id: str, *, bad: bool) -> None:

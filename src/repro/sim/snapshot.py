@@ -17,11 +17,11 @@ Deliberately **not** serialized:
 * the :class:`~repro.sim.views.ViewCache` — restored cold (cleared); its
   dirty-tracking contract guarantees a cold cache rebuilds entries from
   current state, which is exactly what was captured;
-* the :class:`~repro.sim.sched_core.PriorityIndex` — its live-dependent
-  lists are the insertion-order children filtered by the completed set,
-  so restore rebuilds them from scratch and *asserts* the rebuild is
-  equivalent (every task present in its parents' lists iff not
-  COMPLETED, per the restored :class:`~repro.dag.task.TaskState`);
+* the :class:`~repro.sim.arraycore.ArrayCore` mirror — every column is
+  a copy of restored object state, so restore rebuilds it from scratch
+  and *asserts* the rebuild against an independent derivation
+  (:meth:`~repro.sim.arraycore.ArrayCore.rebuild_and_assert`); only its
+  observability counters round-trip;
 * RNG streams — none exist mid-run by construction: fault plans are
   pre-compiled before the engine starts and every subsystem/policy is
   deterministic, which :func:`snapshot_engine` relies on (grep for
@@ -118,7 +118,6 @@ def _fingerprint(engine: "SimEngine") -> dict:
         "stall_timeout": rt.stall_timeout,
         "resilience": rt.resilience is not None,
         "trace": rt.trace is not None,
-        "sched_index": rt.sched is not None,
         "invariants": rt.sim_config.invariants,
         "collect_samples": rt.sim_config.collect_task_samples,
         "streaming": getattr(engine, "_streaming", False),
@@ -235,16 +234,12 @@ def snapshot_engine(engine: "SimEngine") -> dict:
         ),
         "scheduler": scheduler_state,
         "views_rebuilds": rt.views.rebuilds,
-        "index_counters": (
-            {
-                "hits": rt.sched.hits,
-                "misses": rt.sched.misses,
-                "invalidations": rt.sched.invalidations,
-                "clears": rt.sched.clears,
-            }
-            if rt.sched is not None
-            else None
-        ),
+        "index_counters": {
+            "hits": rt.array.hits,
+            "misses": rt.array.misses,
+            "invalidations": rt.array.invalidations,
+            "clears": rt.array.clears,
+        },
         "journal_offset": journal.offset if journal is not None else None,
     }
     if getattr(engine, "_streaming", False):
@@ -383,52 +378,16 @@ def restore_into(engine: "SimEngine", data: dict) -> None:
     rt.views._dirty.clear()
     rt.views.rebuilds = data["views_rebuilds"]
 
-    # Scoring seam: rebuilt, not serialized — then asserted equivalent.
-    # The array core re-derives its mirror from the restored objects; the
-    # priority index re-derives its live-dependent lists.
-    if rt.array is not None:
-        rt.array.rebuild_and_assert()
-    if rt.sched is not None:
-        if rt.array is None:
-            _rebuild_priority_index(engine)
-        counters = data["index_counters"]
-        rt.sched.hits = counters["hits"]
-        rt.sched.misses = counters["misses"]
-        rt.sched.invalidations = counters["invalidations"]
-        rt.sched.clears = counters["clears"]
+    # Array core: rebuilt from the restored objects, not serialized —
+    # then asserted equivalent.
+    rt.array.rebuild_and_assert()
+    counters = data["index_counters"]
+    rt.array.hits = counters["hits"]
+    rt.array.misses = counters["misses"]
+    rt.array.invalidations = counters["invalidations"]
+    rt.array.clears = counters["clears"]
 
     engine._restored = True
-
-
-def _rebuild_priority_index(engine: "SimEngine") -> None:
-    """Re-derive the index's live-dependent lists from restored task
-    states (the same removal ``_on_finished`` performs incrementally),
-    then assert the rebuild matches an independent derivation: a task
-    appears in each parent's list iff its restored state is not
-    COMPLETED."""
-    rt = engine.runtime
-    state = rt.state
-    index = rt.sched
-    for tid, trt in state.tasks.items():
-        if trt.state is TaskState.COMPLETED:
-            for parent in state.static_tasks[tid].parents:
-                kids = index._live[parent]
-                if tid in kids:
-                    kids.remove(tid)
-    index._memo.clear()
-    index._memo_now = None
-    index._mean_rate = None
-    for task in state.static_tasks.values():
-        completed = state.tasks[task.task_id].state is TaskState.COMPLETED
-        for parent in task.parents:
-            present = task.task_id in index._live[parent]
-            if present == completed:
-                raise SnapshotError(
-                    "priority-index rebuild mismatch: task "
-                    f"{task.task_id!r} (completed={completed}) "
-                    f"{'still' if present else 'not'} in live list of "
-                    f"{parent!r}"
-                )
 
 
 # --------------------------------------------------------------------- files

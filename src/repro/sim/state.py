@@ -43,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .arraycore import ArrayCore
     from .preemption_exec import PreemptionExecutor
     from .resilience import ResilienceManager
-    from .sched_core import PriorityIndex
     from .tracelog import TraceLog
     from .views import ViewCache
 
@@ -324,15 +323,9 @@ class SimRuntime:
         self.preemption: "PreemptionExecutor" = None  # type: ignore[assignment]
         self.faults: "FaultSubsystem" = None  # type: ignore[assignment]
         self.views: "ViewCache" = None  # type: ignore[assignment]
-        #: The scoring seam: the array core when ``SimConfig.array_core``
-        #: is on, the priority index when only ``sched_index`` is on,
-        #: ``None`` when both are off.  Consumers duck-type against the
-        #: shared protocol (``priorities``/``scores_like``/``stats``).
-        self.sched: "PriorityIndex | ArrayCore | None" = None
-        #: The struct-of-arrays mirror when ``SimConfig.array_core`` is on
-        #: (the same object as ``sched`` then), else ``None`` — the hot
-        #: loops check this to pick the vectorized path.
-        self.array: "ArrayCore | None" = None
+        #: The struct-of-arrays mirror: Eq. 12–13 scoring, the dispatch
+        #: and stall scans and view signal assembly all read it.
+        self.array: "ArrayCore" = None  # type: ignore[assignment]
         self.resilience: "ResilienceManager | None" = None
         self.elastic: "ElasticSubsystem | None" = None
         self.metrics: "MetricsCollector" = None  # type: ignore[assignment]

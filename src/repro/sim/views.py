@@ -25,17 +25,12 @@ are memoized once at init in :class:`~repro.sim.state.SimState` and
 shared with every other consumer (C2 checks, the resilience layer's
 dispatch ranking, policy contexts).
 
-``SimConfig.views_cache=False`` switches to always-recompute — behaviour
-is identical (the parity benchmark asserts it), only slower.
-
-When the engine runs with ``SimConfig.array_core`` on, the per-task
-signal arithmetic moves off the runtime objects entirely: the cache asks
-the :class:`~repro.sim.arraycore.ArrayCore` mirror for every signal of a
-node's tasks in one vectorized shot and only assembles the (unchanged)
-``TaskView`` objects here.  Structural memoization (dirty tracking, the
-``ancestors ∩ pool`` maps) is identical on both paths, and the values
-are bit-identical (same float ops in the same order — see the array-core
-module docstring).
+The per-task signal arithmetic runs off the runtime objects entirely:
+the cache asks the :class:`~repro.sim.arraycore.ArrayCore` mirror for
+every signal of a node's tasks in one vectorized shot and only assembles
+the ``TaskView`` objects here.  The values are the scalar formulas of
+:class:`~repro.sim.executor.TaskRuntime` bit for bit (same float ops in
+the same order — see the array-core module docstring).
 """
 
 from __future__ import annotations
@@ -53,7 +48,7 @@ from .kernel import (
     TaskStarted,
     TaskSuspended,
 )
-from .executor import NodeRuntime, TaskRuntime
+from .executor import NodeRuntime
 from .policy import NodeView, TaskView
 from .state import SimState
 
@@ -85,14 +80,12 @@ class ViewCache:
         epoch: float,
         queue_limit: int,
         max_preemptions: int,
-        enabled: bool = True,
-        core: "ArrayCore | None" = None,
+        core: "ArrayCore",
     ) -> None:
         self._state = state
         self._epoch = epoch
         self._queue_limit = queue_limit
         self._max_preemptions = max_preemptions
-        self._enabled = enabled
         self._core = core
         # node_id -> (running pool at build time,
         #             task_id -> ancestors ∩ pool (lazily filled),
@@ -107,10 +100,6 @@ class ViewCache:
             job = state.jobs[task.job_id]
             self._static[tid] = (task.demand.norm1(), job.weight, job.deadline)
         self.rebuilds = 0  # dirty-node structural rebuilds (observability)
-
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
 
     def register_job(self, job) -> None:
         """Add the static attributes of a streaming-admitted job's tasks
@@ -163,81 +152,31 @@ class ViewCache:
     def _depends_on_running(
         self,
         task_id: str,
-        node: NodeRuntime,
-        deps: dict[str, frozenset[str]] | None,
-        pool: frozenset[str] | None,
+        deps: dict[str, frozenset[str]],
+        pool: frozenset[str],
     ) -> frozenset[str]:
-        if deps is None:  # cache disabled: recompute per call
-            return frozenset(self._state.ancestors[task_id] & node.running)
         got = deps.get(task_id)
         if got is None:
             got = deps[task_id] = frozenset(self._state.ancestors[task_id] & pool)
         return got
 
-    def _task_view(
-        self,
-        rt: TaskRuntime,
-        node: NodeRuntime,
-        now: float,
-        deps: dict[str, frozenset[str]] | None,
-        pool: frozenset[str] | None,
-    ) -> TaskView:
-        task_id = rt.task.task_id
-        remaining = rt.remaining_time_at(now, node.rate)
-        footprint, weight, job_deadline = self._static[task_id]
-        return TaskView(
-            task_id=task_id,
-            job_id=rt.task.job_id,
-            remaining_time=remaining,
-            waiting_time=rt.waiting_time_at(now),
-            stint_waiting_time=rt.stint_waiting_at(now),
-            overdue_waiting_time=rt.overdue_waiting_at(now),
-            allowable_wait=rt.deadline - now - remaining,
-            is_runnable=rt.is_runnable,
-            is_running=rt.occupies_resources,
-            is_preemptable=(
-                rt.occupies_resources and rt.preempt_count < self._max_preemptions
-            ),
-            resource_footprint=footprint,
-            job_weight=weight,
-            job_deadline=job_deadline,
-            depends_on_running=self._depends_on_running(task_id, node, deps, pool),
-        )
-
     def node_order(self, node: NodeRuntime) -> tuple[list[str], list[str]]:
-        """The snapshot ordering :meth:`build` would use — (sorted running
-        order from the structural cache, queue head under the view queue
-        limit) — without materializing any ``TaskView``.  Array-adopted
-        policies scan the core's columns directly over these ids; sharing
-        this entry point keeps their visit order (and the dirty-tracking
-        bookkeeping) identical to the snapshot path."""
-        if self._enabled:
-            _pool, _deps, ordered = self._node_entry(node)
-        else:
-            ordered = sorted(node.running)
+        """The snapshot ordering — (sorted running order from the
+        structural cache, queue head under the view queue limit) —
+        without materializing any ``TaskView``.  :meth:`build` and the
+        array-adopted policies' column scans both take their visit order
+        (and the dirty-tracking bookkeeping) from here, so the two
+        cannot drift apart."""
+        _pool, _deps, ordered = self._node_entry(node)
         return ordered, node.queued_ids(self._queue_limit)
 
     def build(self, node: NodeRuntime, now: float) -> NodeView:
         """Snapshot *node* at *now* for the preemption policy."""
-        if self._enabled:
-            pool, deps, ordered = self._node_entry(node)
-        else:
-            pool, deps, ordered = None, None, sorted(node.running)
-        queued = node.queued_ids()[: self._queue_limit]
-        if self._core is not None:
-            running, waiting = self._views_from_core(
-                node, now, ordered, queued, deps, pool
-            )
-        else:
-            tasks = self._state.tasks
-            running = tuple(
-                self._task_view(tasks[tid], node, now, deps, pool)
-                for tid in ordered
-            )
-            waiting = tuple(
-                self._task_view(tasks[tid], node, now, deps, pool)
-                for tid in queued
-            )
+        ordered, queued = self.node_order(node)
+        pool, deps, _ordered = self._deps[node.node_id]
+        running, waiting = self._views_from_core(
+            node, now, ordered, queued, deps, pool
+        )
         return NodeView(
             node_id=node.node_id,
             now=now,
@@ -252,11 +191,11 @@ class ViewCache:
         now: float,
         ordered: list[str],
         queued: list[str],
-        deps: dict[str, frozenset[str]] | None,
-        pool: frozenset[str] | None,
+        deps: dict[str, frozenset[str]],
+        pool: frozenset[str],
     ) -> tuple[tuple[TaskView, ...], tuple[TaskView, ...]]:
         """Assemble both view tuples from one vectorized signal pass over
-        the array mirror (bit-identical values to :meth:`_task_view`)."""
+        the array mirror."""
         core = self._core
         ids = ordered + queued
         if not ids:
@@ -289,9 +228,7 @@ class ViewCache:
                 resource_footprint=static[tid][0],
                 job_weight=static[tid][1],
                 job_deadline=static[tid][2],
-                depends_on_running=self._depends_on_running(
-                    tid, node, deps, pool
-                ),
+                depends_on_running=self._depends_on_running(tid, deps, pool),
             )
             for i, tid in enumerate(ids)
         ]

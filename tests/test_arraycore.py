@@ -12,6 +12,10 @@ This module covers the substrate underneath:
   mirrored column equals the corresponding ``TaskRuntime`` field for
   every live task (the event-driven sync catalog covers every mutation
   path, not just the ones the score formula reads).
+* **Scan oracles** — at the same settled points, the dispatcher's
+  candidate scan and the stall-timeout sweep equal reference walks over
+  the runtime objects (``node.queued_ids()`` and ``node.running``), in
+  dependency-aware and dependency-blind runs.
 * **Retirement** — a completed job's rows return to the free list, and a
   streaming-admitted successor reuses them without aliasing.
 * **Rebuild** — ``rebuild_and_assert`` (the restore-path guard) passes
@@ -29,8 +33,9 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._util import EPS
 from repro.cluster import Cluster, NodeSpec, ResourceVector
-from repro.config import DSPConfig, ResilienceConfig, SimConfig
+from repro.config import DSPConfig, ResilienceConfig
 from repro.core import HeuristicScheduler
 from repro.core.preemption import DSPPreemption
 from repro.dag import Job, Task
@@ -38,7 +43,7 @@ from repro.dag.task import TaskState
 from repro.sim import SimEngine
 from repro.sim.arraycore import _STATE_CODE, ArrayCore, DenseIds
 
-from test_sched_core import _chaos_inputs, _sim_cfg
+from test_sched_core import _chaos_inputs, _engine, _sim_cfg
 
 
 # ------------------------------------------------------------- allocator
@@ -126,38 +131,114 @@ def _assert_mirror_fresh(core: ArrayCore, state) -> None:
                 assert got == want, (tid, got, want)
 
 
+def _reference_dispatch(state, node, now: float, dependency_aware: bool) -> list[str]:
+    """The dispatcher's state predicates as a walk over the node queue
+    (the retry gate and the capacity check stay with the caller)."""
+    out = []
+    for tid in node.queued_ids():
+        task = state.tasks[tid]
+        if not task.is_runnable:
+            if dependency_aware or task.stall_banned:
+                continue
+            if now + EPS < task.planned_start:
+                continue
+        out.append(tid)
+    return out
+
+
+def _reference_stalls(state, now: float, timeout: float) -> list[str]:
+    """Timed-out stalled tasks as a walk over every node's running set,
+    in node order then sorted task id (partition filtering is the
+    caller's)."""
+    out = []
+    for node in state.nodes.values():
+        for tid in sorted(node.running):
+            task = state.tasks[tid]
+            if (
+                task.state is TaskState.STALLED
+                and task.stall_start is not None
+                and now - task.stall_start >= timeout
+            ):
+                out.append(tid)
+    return out
+
+
+def _assert_scans_match(core: ArrayCore, rt) -> dict[str, int]:
+    """Check both dispatch scans and the stall sweep against the
+    reference walks; returns how many non-empty results each produced."""
+    state, now = rt.state, rt.now
+    seen = {"aware": 0, "blind_extra": 0, "stalls": 0}
+    for node in state.nodes.values():
+        aware = core.dispatch_candidates(node, now, True)
+        assert aware == _reference_dispatch(state, node, now, True), node.node_id
+        blind = core.dispatch_candidates(node, now, False)
+        assert blind == _reference_dispatch(state, node, now, False), node.node_id
+        seen["aware"] += bool(aware)
+        seen["blind_extra"] += len(blind) > len(aware)
+    stalls = core.stall_timeout_candidates(now, rt.stall_timeout)
+    assert stalls == _reference_stalls(state, now, rt.stall_timeout)
+    seen["stalls"] += bool(stalls)
+    return seen
+
+
+def _streaming_chaos_engine(seed: int, **engine_kwargs) -> SimEngine:
+    cfg = DSPConfig()
+    cluster, workload, deadlines, faults = _chaos_inputs(seed, cfg)
+    return _engine(
+        cluster,
+        workload.jobs,
+        deadlines,
+        False,
+        dsp_config=cfg,
+        sim_config=_sim_cfg(),
+        faults=faults,
+        resilience=ResilienceConfig(max_attempts=12),
+        **engine_kwargs,
+    )
+
+
 class TestMirrorFreshness:
     def test_columns_match_objects_throughout_chaos_run(self):
-        """Slice a seeded chaos run and diff every mirrored column against
-        the runtime objects at each settled point; also re-run the restore
-        guard (``rebuild_and_assert``) mid-flight."""
-        cfg = DSPConfig()
-        cluster, workload, deadlines, faults = _chaos_inputs(2, cfg)
-        engine = SimEngine(
-            cluster,
-            [],
-            HeuristicScheduler(cluster),
-            preemption=DSPPreemption(cfg),
-            dsp_config=cfg,
-            sim_config=_sim_cfg(),
-            faults=faults,
-            resilience=ResilienceConfig(max_attempts=12),
-            streaming=True,
+        """Slice a seeded chaos run and diff every mirrored column and
+        every scan against the runtime objects at each settled point;
+        also re-run the restore guard (``rebuild_and_assert``)
+        mid-flight."""
+        engine = _streaming_chaos_engine(
+            2, preemption=DSPPreemption(DSPConfig())
         )
-        for job in workload.jobs:
-            engine.submit_job(
-                job, {tid: deadlines[tid] for tid in job.tasks}
-            )
         rt = engine.runtime
         core = rt.array
         assert isinstance(core, ArrayCore)
         slices = 0
+        seen = 0
         while engine.pump(50):
             _assert_mirror_fresh(core, rt.state)
+            seen += _assert_scans_match(core, rt)["aware"]
             if slices % 4 == 0:
                 core.rebuild_and_assert()
             slices += 1
         assert slices > 5, "run too short to be meaningful"
+        assert seen > 0, "no settled point had a dispatchable queue"
+        engine.finalize()
+
+    def test_scans_match_object_walks_dependency_blind(self):
+        """Dependency-blind dispatch with a short stall timeout: the blind
+        scan admits unrunnable tasks past their planned start, tasks stall
+        and time out, and every scan still equals its reference walk."""
+        engine = _streaming_chaos_engine(
+            2, dependency_aware_dispatch=False, stall_timeout=1.0
+        )
+        rt = engine.runtime
+        core = rt.array
+        totals = {"aware": 0, "blind_extra": 0, "stalls": 0}
+        # Settle after every pop: a timed-out stall only lives until the
+        # next epoch tick's sweep evicts it.
+        while engine.pump(1):
+            _assert_mirror_fresh(core, rt.state)
+            for key, count in _assert_scans_match(core, rt).items():
+                totals[key] += count
+        assert totals["blind_extra"] > 0, totals
+        assert totals["stalls"] > 0, totals
         engine.finalize()
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import DSPConfig
 from repro.core import DSPPreemption
+from repro.dag.graph import build_children_map
 from repro.sim.policy import PreemptionDecision
 
 from tests.helpers import make_node_view, make_view
@@ -14,6 +15,7 @@ class StubCtx:
 
     def __init__(self, tasks, remaining=None, waiting=None, allowable=None):
         self.tasks = tasks
+        self.children = build_children_map(tasks)
         self._rem = remaining or {}
         self._wait = waiting or {}
         self._allow = allowable or {}

@@ -176,7 +176,7 @@ def _faulty_jobs() -> list[Job]:
     return jobs
 
 
-def _recorded_run(views_cache: bool):
+def _recorded_run():
     """One seed-fixed faulty resilient run; returns (event reprs, trace
     segments, metrics dict)."""
     cluster = _faulty_cluster()
@@ -188,9 +188,7 @@ def _recorded_run(views_cache: bool):
         cluster,
         _faulty_jobs(),
         HeuristicScheduler(cluster),
-        sim_config=SimConfig(
-            epoch=2.0, scheduling_period=20.0, views_cache=views_cache
-        ),
+        sim_config=SimConfig(epoch=2.0, scheduling_period=20.0),
         faults=faults,
         resilience=ResilienceConfig(),
         record_trace=True,
@@ -203,21 +201,14 @@ def _recorded_run(views_cache: bool):
 
 class TestDeterminism:
     def test_same_seed_byte_identical_stream_and_trace(self):
-        s1, t1, m1 = _recorded_run(views_cache=True)
-        s2, t2, m2 = _recorded_run(views_cache=True)
+        s1, t1, m1 = _recorded_run()
+        s2, t2, m2 = _recorded_run()
         assert "\n".join(s1) == "\n".join(s2)
         assert t1 == t2
         assert m1 == m2
 
-    def test_views_cache_does_not_change_behaviour(self):
-        s_on, t_on, m_on = _recorded_run(views_cache=True)
-        s_off, t_off, m_off = _recorded_run(views_cache=False)
-        assert "\n".join(s_on) == "\n".join(s_off)
-        assert t_on == t_off
-        assert m_on == m_off
-
     def test_stream_is_nonempty_and_exercises_faults(self):
-        stream, segments, metrics = _recorded_run(views_cache=True)
+        stream, segments, metrics = _recorded_run()
         assert any("FaultInjected" in line for line in stream)
         assert any("TaskFinished" in line for line in stream)
         assert segments
@@ -245,7 +236,6 @@ class TestViewCache:
         )
         metrics = engine.run()
         views = engine.runtime.views
-        assert views.enabled
         assert views.rebuilds > 0
         assert metrics.tasks_completed == sum(
             len(j.tasks) for j in workload.jobs

@@ -1,29 +1,38 @@
-"""Incremental scheduling cores (``sim/sched_core.py`` and
-``sim/arraycore.py``): exactness + parity.
+"""The array core (``sim/arraycore.py``) against independent oracles.
 
-Three layers of assurance, each parametrized over both scoring seams —
-the per-task memoizing :class:`~repro.sim.sched_core.PriorityIndex`
-(``SimConfig.sched_index``) and the struct-of-arrays
-:class:`~repro.sim.arraycore.ArrayCore` (``SimConfig.array_core``):
+The engine scores Eq. 12–13 and runs Algorithm 1 through one path, the
+struct-of-arrays :class:`~repro.sim.arraycore.ArrayCore`.  Each paper
+equation keeps one small reference implementation, and this module holds
+the core to them:
 
-* **Property test** — seeded runs (random layered DAG workloads × random
+* **Eq. 12–13** — seeded runs (random layered DAG workloads × random
   fault/preemption event streams under DSP + resilience) with a wildcard
-  bus hook that, after *every* bus event, compares the seam's scores for
+  bus hook that, after *every* bus event, compares the core's scores for
   all live tasks against a fresh stateless
   :meth:`repro.core.priority.PriorityEvaluator.compute` — exact float
   equality, no tolerance.  This is the empirical proof that the
-  event-driven invalidation/mirroring catalog covers every mutation path.
-* **Knob parity** — ``sched_index`` and ``array_core`` on/off produce a
-  byte-identical event stream, trace and metrics on a faulty resilient
-  run (the knobs are pure performance switches, like ``views_cache``),
-  and a crash/restore with either seam replays to identical results (the
-  restore path rebuilds the seam from objects and asserts equivalence).
+  event-driven mirroring catalog covers every mutation path.
+* **Algorithm 1** — at every epoch tick of a seeded chaos run,
+  :meth:`~repro.core.preemption.DSPPreemption.select_preemptions_from_core`
+  decides exactly as the view-based
+  :meth:`~repro.core.preemption.DSPPreemption.select_preemptions` over a
+  freshly built ``NodeView`` scored by a fresh ``PriorityEvaluator``.
+* **Restore** — a crash/restore replays to identical results (the restore
+  path rebuilds the core from objects and asserts equivalence).
 * **Adoption guard** — a :class:`~repro.core.preemption.DSPPreemption`
   configured with different Eq. 12–13 parameters than the engine must
-  *not* adopt the engine's seam, and one with matching parameters must.
+  *not* adopt the core, and scores snapshots over the engine's live
+  structure instead.
+
+Most checks run twice, parametrized by ``batch``: ``True`` hands the
+workload to the engine up front, ``False`` admits the same jobs through
+streaming ``submit_job`` (the path that allocates core rows after the
+engine and its policy are wired).
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -34,12 +43,14 @@ from repro.core.preemption import DSPPreemption
 from repro.core.priority import PriorityEvaluator
 from repro.dag import Job, Task
 from repro.dag.task import TaskState
+from repro.experiments.figures import cluster_profile
 from repro.experiments.harness import (
     build_workload_for_cluster,
     compute_level_deadlines,
 )
 from repro.sim import (
-    PriorityIndex,
+    EpochTick,
+    SimContext,
     SimEngine,
     SimulatedCrash,
     inject_crash,
@@ -78,15 +89,8 @@ def _diamond_jobs() -> list[Job]:
     return jobs
 
 
-def _sim_cfg(*, array_core: bool = True, sched_index: bool = True) -> SimConfig:
-    """Explicit knobs so tests are immune to the ``REPRO_ARRAY_CORE``
-    environment default (the CI matrix runs one leg with it off)."""
-    return SimConfig(
-        epoch=2.0,
-        scheduling_period=20.0,
-        array_core=array_core,
-        sched_index=sched_index,
-    )
+def _sim_cfg() -> SimConfig:
+    return SimConfig(epoch=2.0, scheduling_period=20.0)
 
 
 def _chaos_inputs(seed: int, cfg: DSPConfig):
@@ -105,82 +109,122 @@ def _chaos_inputs(seed: int, cfg: DSPConfig):
     return cluster, workload, deadlines, faults
 
 
-def _faulty_engine(seed: int, cfg: DSPConfig, **engine_kwargs) -> SimEngine:
+def _engine(
+    cluster: Cluster,
+    jobs: list[Job],
+    deadlines: dict[str, float] | None,
+    batch: bool,
+    **engine_kwargs,
+) -> SimEngine:
+    """A DSP engine over *jobs*, handed over up front (*batch*) or
+    admitted one by one through streaming ``submit_job``."""
+    engine = SimEngine(
+        cluster,
+        jobs if batch else [],
+        HeuristicScheduler(cluster),
+        task_deadlines=deadlines if batch else None,
+        streaming=not batch,
+        **engine_kwargs,
+    )
+    if not batch:
+        for job in jobs:
+            engine.submit_job(
+                job,
+                None if deadlines is None
+                else {tid: deadlines[tid] for tid in job.tasks},
+            )
+    return engine
+
+
+def _drive(engine: SimEngine):
+    """Run *engine* to completion in either admission mode."""
+    if not engine._streaming:
+        return engine.run()
+    while engine.pump(200):
+        pass
+    return engine.finalize()
+
+
+def _faulty_engine(
+    seed: int, cfg: DSPConfig, batch: bool = True, **engine_kwargs
+) -> SimEngine:
     """A seed-fixed DSP run over a random layered workload with node
     failures, stragglers, task kills and the resilience layer active —
     the densest event stream the simulator produces."""
     cluster, workload, deadlines, faults = _chaos_inputs(seed, cfg)
-    return SimEngine(
+    return _engine(
         cluster,
         workload.jobs,
-        HeuristicScheduler(cluster),
+        deadlines,
+        batch,
         preemption=DSPPreemption(cfg),
         dsp_config=cfg,
-        sim_config=engine_kwargs.pop("sim_config", _sim_cfg()),
-        task_deadlines=deadlines,
+        sim_config=_sim_cfg(),
         faults=faults,
         resilience=ResilienceConfig(max_attempts=12),
         **engine_kwargs,
     )
 
 
-# --------------------------------------------------- index-vs-stateless
+def _oracle_scores(
+    rt, evaluator: PriorityEvaluator
+) -> tuple[list[str], dict[str, float]]:
+    """Live task ids and their Eq. 12–13 scores from the stateless
+    evaluator over the runtime's current signals."""
+    state = rt.state
+    now = rt.now
+    completed = [
+        tid for tid, task in state.tasks.items()
+        if task.state is TaskState.COMPLETED
+    ]
+    done = set(completed)
+    live = [tid for tid in state.tasks if tid not in done]
+    remaining = {tid: state.remaining_time(tid, now) for tid in live}
+    expected = evaluator.compute(
+        remaining,
+        {tid: state.tasks[tid].waiting_time_at(now) for tid in live},
+        {
+            tid: state.tasks[tid].deadline - now - remaining[tid]
+            for tid in live
+        },
+        completed=completed,
+    )
+    return live, expected
+
+
+# ---------------------------------------------------- Eq. 12-13 oracle
 class TestIndexMatchesStateless:
-    @pytest.mark.parametrize("array_core", [True, False])
+    @pytest.mark.parametrize("batch", [True, False])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_exact_after_every_event(self, seed: int, array_core: bool):
-        """After every bus event, the scoring seam (ArrayCore or
-        PriorityIndex) == a fresh stateless evaluation over live signals,
-        bit for bit."""
+    def test_exact_after_every_event(self, seed: int, batch: bool):
+        """After every bus event, the array core's scores == a fresh
+        stateless evaluation over live signals, bit for bit."""
         cfg = DSPConfig()
-        engine = _faulty_engine(
-            seed, cfg, sim_config=_sim_cfg(array_core=array_core)
-        )
+        engine = _faulty_engine(seed, cfg, batch)
         rt = engine.runtime
-        state = rt.state
-        index = rt.sched
-        assert isinstance(index, ArrayCore if array_core else PriorityIndex)
-        evaluator = PriorityEvaluator(cfg, state.static_tasks)
+        core = rt.array
+        evaluator = PriorityEvaluator(cfg, rt.state.static_tasks)
         checks = 0
 
         def check(_event) -> None:
             nonlocal checks
-            now = rt.now
-            completed = [
-                tid
-                for tid, task in state.tasks.items()
-                if task.state is TaskState.COMPLETED
-            ]
-            done = set(completed)
-            live = [tid for tid in state.tasks if tid not in done]
+            live, expected = _oracle_scores(rt, evaluator)
             if not live:
                 return
-            remaining = {tid: state.remaining_time(tid, now) for tid in live}
-            waiting = {
-                tid: state.tasks[tid].waiting_time_at(now) for tid in live
-            }
-            allowable = {
-                tid: state.tasks[tid].deadline - now - remaining[tid]
-                for tid in live
-            }
-            expected = evaluator.compute(
-                remaining, waiting, allowable, completed=completed
-            )
-            got = index.priorities(live)
-            assert got == expected  # exact float equality
+            assert core.priorities(live) == expected  # exact float equality
             checks += 1
 
         # Wildcard subscribers run after every typed subscriber of the
-        # same event, so the hook always observes post-invalidation state.
+        # same event, so the hook always observes the synced mirror.
         rt.bus.subscribe_all(check)
-        engine.run()
+        _drive(engine)
         assert checks > 100, "run produced too few events to be meaningful"
-        assert index.invalidations > 0
-        assert index.clears > 0
-        assert index.hits > 0
+        assert core.invalidations > 0
+        assert core.clears > 0
+        assert core.hits > 0
 
-    @pytest.mark.parametrize("array_core", [True, False])
-    def test_exact_on_handcrafted_diamond(self, array_core: bool):
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_exact_on_handcrafted_diamond(self, batch: bool):
         """Same property on the hand-built diamond workload (shared
         parents, exercised by the kernel determinism suite)."""
         cfg = DSPConfig()
@@ -189,13 +233,14 @@ class TestIndexMatchesStateless:
             cluster, horizon=400.0, rng=11, mtbf=120.0, mttr=40.0,
             straggler_rate=0.5, task_fail_rate=0.5,
         )
-        engine = SimEngine(
+        engine = _engine(
             cluster,
             _diamond_jobs(),
-            HeuristicScheduler(cluster),
+            None,
+            batch,
             preemption=DSPPreemption(cfg),
             dsp_config=cfg,
-            sim_config=_sim_cfg(array_core=array_core),
+            sim_config=_sim_cfg(),
             faults=faults,
             resilience=ResilienceConfig(),
         )
@@ -205,207 +250,227 @@ class TestIndexMatchesStateless:
 
         def check(_event) -> None:
             nonlocal checks
-            now = rt.now
-            state = rt.state
-            completed = [
-                tid
-                for tid, task in state.tasks.items()
-                if task.state is TaskState.COMPLETED
-            ]
-            done = set(completed)
-            live = [tid for tid in state.tasks if tid not in done]
+            live, expected = _oracle_scores(rt, evaluator)
             if not live:
                 return
-            expected = evaluator.compute(
-                {tid: state.remaining_time(tid, now) for tid in live},
-                {tid: state.tasks[tid].waiting_time_at(now) for tid in live},
-                {
-                    tid: state.tasks[tid].deadline
-                    - now
-                    - state.remaining_time(tid, now)
-                    for tid in live
-                },
-                completed=completed,
-            )
-            assert rt.sched.priorities(live) == expected
+            assert rt.array.priorities(live) == expected
             checks += 1
 
         rt.bus.subscribe_all(check)
-        engine.run()
+        _drive(engine)
         assert checks > 0
 
 
-# ------------------------------------------------------------ knob parity
-def _recorded_run(seed: int, *, sched_index: bool = True, array_core: bool):
-    engine = _faulty_engine(
-        seed,
-        DSPConfig(),
-        sim_config=_sim_cfg(array_core=array_core, sched_index=sched_index),
-        record_trace=True,
-    )
-    stream: list[str] = []
-    engine.runtime.bus.subscribe_all(lambda ev: stream.append(repr(ev)))
-    metrics = engine.run()
-    return stream, engine.trace.segments, metrics.as_dict()
+# ---------------------------------------------------- Algorithm 1 oracle
+class _ViewOracle(DSPPreemption):
+    """Algorithm 1 over ``NodeView`` snapshots, scored by its own
+    stateless :class:`PriorityEvaluator` (never the array core)."""
+
+    def __init__(self, config: DSPConfig, rt) -> None:
+        super().__init__(config)
+        self._rt = rt
+        self._evaluator = PriorityEvaluator(config, rt.state.static_tasks)
+
+    def _priorities(self, view):
+        rt = self._rt
+        state = rt.state
+        now = rt.now
+        ids = [t.task_id for t in view.running] + [t.task_id for t in view.waiting]
+
+        def remaining(tid: str) -> float:
+            return state.remaining_time(tid, now)
+
+        return self._evaluator.compute_for(
+            ids,
+            remaining_fn=remaining,
+            waiting_fn=lambda tid: state.tasks[tid].waiting_time_at(now),
+            allowable_fn=lambda tid: (
+                state.tasks[tid].deadline - now - remaining(tid)
+            ),
+            completed_fn=lambda tid: (
+                state.tasks[tid].state is TaskState.COMPLETED
+            ),
+        )
 
 
+class TestAlgorithm1Oracle:
+    @pytest.mark.parametrize("use_pp", [True, False])
+    @pytest.mark.parametrize("seed", [0, 2, 5])
+    def test_core_scan_matches_view_oracle(self, seed: int, use_pp: bool):
+        """At every epoch tick, for every node with both running and
+        queued tasks, the column scan decides exactly as the view-based
+        Algorithm 1 over a fresh snapshot."""
+        cfg = DSPConfig(use_pp=use_pp)
+        engine = _faulty_engine(seed, cfg)
+        rt = engine.runtime
+        policy = rt.policy
+        assert policy._core is rt.array
+        oracle = _ViewOracle(cfg, rt)
+        compared = 0
+        decided = 0
+
+        def check(_event: EpochTick) -> None:
+            nonlocal compared, decided
+            for node_id in sorted(rt.state.nodes):
+                node = rt.state.nodes[node_id]
+                if not node.running or not node.queue_length:
+                    continue
+                got = list(policy.select_preemptions_from_core(rt, node))
+                want = list(
+                    oracle.select_preemptions(rt.views.build(node, rt.now))
+                )
+                assert got == want, (rt.now, node_id)
+                compared += 1
+                decided += bool(got)
+
+        # The executor emits EpochTick right before its victim scan, so
+        # this hook sees the state the scan decides on.
+        rt.bus.subscribe(EpochTick, check)
+        engine.run()
+        assert compared > 20, "too few contended snapshots to be meaningful"
+        assert decided > 0, "oracle never saw a preemption"
+
+
+# ------------------------------------------------------------- wiring
 class TestCoreKnobs:
-    def test_sched_index_on_off_byte_identical(self):
-        s_on, t_on, m_on = _recorded_run(7, sched_index=True, array_core=False)
-        s_off, t_off, m_off = _recorded_run(
-            7, sched_index=False, array_core=False
-        )
-        assert "\n".join(s_on) == "\n".join(s_off)
-        assert t_on == t_off
-        assert m_on == m_off
-
-    def test_array_core_on_off_byte_identical(self):
-        """The headline acceptance property: the vectorized array path and
-        the object path produce the same simulation, byte for byte."""
-        s_on, t_on, m_on = _recorded_run(7, array_core=True)
-        s_off, t_off, m_off = _recorded_run(7, array_core=False)
-        assert "\n".join(s_on) == "\n".join(s_off)
-        assert t_on == t_off
-        assert m_on == m_off
-
     def test_knob_wiring(self):
-        arr = _faulty_engine(0, DSPConfig(), sim_config=_sim_cfg())
-        assert isinstance(arr.runtime.sched, ArrayCore)
-        assert arr.runtime.array is arr.runtime.sched
-        idx = _faulty_engine(
-            0, DSPConfig(), sim_config=_sim_cfg(array_core=False)
-        )
-        assert isinstance(idx.runtime.sched, PriorityIndex)
-        assert idx.runtime.array is None
-        off = _faulty_engine(
-            0,
-            DSPConfig(),
-            sim_config=_sim_cfg(array_core=False, sched_index=False),
-        )
-        assert off.runtime.sched is None
-        assert off.runtime.array is None
-
-    def test_array_core_default_follows_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ARRAY_CORE", raising=False)
-        assert SimConfig().array_core is True
-        monkeypatch.setenv("REPRO_ARRAY_CORE", "0")
-        assert SimConfig().array_core is False
-        monkeypatch.setenv("REPRO_ARRAY_CORE", "1")
-        assert SimConfig().array_core is True
+        """One wiring: the engine always builds the array core and exposes
+        it as the scoring seam, and ``SimConfig`` carries no selector
+        knob (its settable fields are exactly the run parameters)."""
+        engine = _faulty_engine(0, DSPConfig())
+        rt = engine.runtime
+        assert isinstance(rt.array, ArrayCore)
+        assert SimContext(rt).priority_index is rt.array
+        assert [f.name for f in dataclasses.fields(SimConfig)] == [
+            "epoch",
+            "scheduling_period",
+            "horizon",
+            "collect_task_samples",
+            "invariants",
+            "retire_completed",
+            "retire_batch",
+        ]
 
 
 # ------------------------------------------------- crash/restore rebuild
 class TestRestoreRebuild:
-    @pytest.mark.parametrize("array_core", [True, False])
-    def test_crash_resume_rebuilds_seam(self, tmp_path, array_core: bool):
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_crash_resume_rebuilds_seam(self, tmp_path, batch: bool):
         """A run crashed mid-flight and recovered from the latest snapshot
         replays to identical metrics and a byte-identical journal; the
-        restore path rebuilds the scoring seam from restored objects and
-        asserts it equivalent (``rebuild_and_assert`` for the array core,
-        ``_rebuild_priority_index`` for the index)."""
+        restore path rebuilds the array core from restored objects and
+        asserts it equivalent (``rebuild_and_assert``)."""
         cfg = DSPConfig()
         seed = 5
 
-        def build(path, **kw):
-            cluster, workload, deadlines, faults = _chaos_inputs(seed, cfg)
-            return SimEngine(
-                cluster,
-                workload.jobs,
-                HeuristicScheduler(cluster),
+        def wiring(path) -> dict:
+            cluster, _workload, _deadlines, faults = _chaos_inputs(seed, cfg)
+            return dict(
                 preemption=DSPPreemption(cfg),
                 dsp_config=cfg,
-                sim_config=_sim_cfg(array_core=array_core),
-                task_deadlines=deadlines,
+                sim_config=_sim_cfg(),
                 faults=faults,
                 resilience=ResilienceConfig(max_attempts=12),
                 journal=path / "run.journal",
                 snapshots=SnapshotConfig(
                     directory=str(path / "snaps"), every_events=200
                 ),
-                **kw,
+            )
+
+        def build(path):
+            cluster, workload, deadlines, _faults = _chaos_inputs(seed, cfg)
+            return _engine(
+                cluster, workload.jobs, deadlines, batch, **wiring(path)
             )
 
         ref = build(tmp_path / "ref")
-        ref_metrics = ref.run().as_dict()
+        ref_metrics = _drive(ref).as_dict()
         total = ref.runtime.kernel.pops
 
         crashed = build(tmp_path / "rec")
         inject_crash(crashed, at_pop=total // 2)
         with pytest.raises(SimulatedCrash):
-            crashed.run()
+            _drive(crashed)
         found = latest_valid_snapshot(tmp_path / "rec" / "snaps")
         assert found is not None
         _, data = found
 
-        cluster, workload, deadlines, faults = _chaos_inputs(seed, cfg)
+        # A streaming restore rebuilds its live window from the snapshot.
+        cluster, workload, deadlines, _faults = _chaos_inputs(seed, cfg)
         resumed = SimEngine.restore(
             data,
             cluster,
-            workload.jobs,
+            workload.jobs if batch else [],
             HeuristicScheduler(cluster),
-            preemption=DSPPreemption(cfg),
-            dsp_config=cfg,
-            sim_config=_sim_cfg(array_core=array_core),
-            task_deadlines=deadlines,
-            faults=faults,
-            resilience=ResilienceConfig(max_attempts=12),
-            journal=tmp_path / "rec" / "run.journal",
-            snapshots=SnapshotConfig(
-                directory=str(tmp_path / "rec" / "snaps"), every_events=200
-            ),
+            task_deadlines=deadlines if batch else None,
+            streaming=not batch,
+            **wiring(tmp_path / "rec"),
         )
-        assert (resumed.runtime.array is not None) is array_core
-        assert resumed.run().as_dict() == ref_metrics
+        assert isinstance(resumed.runtime.array, ArrayCore)
+        assert _drive(resumed).as_dict() == ref_metrics
         ref_journal = (tmp_path / "ref" / "run.journal").read_bytes()
         rec_journal = (tmp_path / "rec" / "run.journal").read_bytes()
         assert rec_journal == ref_journal
 
 
 # -------------------------------------------------------- adoption guard
-class TestPolicyAdoption:
-    @pytest.mark.parametrize("array_core", [True, False])
-    def test_matching_config_adopts_seam(self, array_core: bool):
-        cfg = DSPConfig()
-        engine = _faulty_engine(
-            0, cfg, sim_config=_sim_cfg(array_core=array_core)
-        )
-        policy = engine.runtime.policy
-        assert policy._index is engine.runtime.sched
-        assert isinstance(
-            policy._index, ArrayCore if array_core else PriorityIndex
-        )
+_MISMATCHED = DSPConfig(
+    omega_remaining=0.2, omega_waiting=0.3, omega_allowable=0.5
+)
 
-    @pytest.mark.parametrize("array_core", [True, False])
-    def test_mismatched_config_falls_back(self, array_core: bool):
-        """A policy scoring with different omegas than the engine keeps
-        its stateless evaluator (the engine's seam would give wrong
-        scores)."""
-        engine_cfg = DSPConfig()
-        policy_cfg = DSPConfig(
-            omega_remaining=0.2, omega_waiting=0.3, omega_allowable=0.5
-        )
+
+class TestPolicyAdoption:
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_matching_config_adopts_seam(self, batch: bool):
+        engine = _faulty_engine(0, DSPConfig(), batch)
+        assert engine.runtime.policy._core is engine.runtime.array
+
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_mismatched_config_falls_back(self, batch: bool):
+        """A policy scoring with different omegas than the engine does not
+        adopt the core (its scores would be wrong) and decides over
+        snapshots instead."""
         cluster = _small_cluster()
-        engine = SimEngine(
+        engine = _engine(
             cluster,
             _diamond_jobs(),
-            HeuristicScheduler(cluster),
-            preemption=DSPPreemption(policy_cfg),
-            dsp_config=engine_cfg,
-            sim_config=_sim_cfg(array_core=array_core),
+            None,
+            batch,
+            preemption=DSPPreemption(_MISMATCHED),
+            dsp_config=DSPConfig(),
+            sim_config=_sim_cfg(),
         )
-        policy = engine.runtime.policy
-        assert policy._index is None
-        assert policy._evaluator is not None
-        engine.run()  # still completes on the fallback path
+        rt = engine.runtime
+        policy = rt.policy
+        assert policy._core is None
+        node = next(iter(rt.state.nodes.values()))
+        assert policy.select_preemptions_from_core(rt, node) is None
+        _drive(engine)  # completes on the snapshot path
 
-    def test_seams_disabled_falls_back(self):
-        engine = _faulty_engine(
-            0,
-            DSPConfig(),
-            sim_config=_sim_cfg(array_core=False, sched_index=False),
+    @pytest.mark.parametrize("retire", [False, True])
+    def test_mismatched_config_streaming(self, retire: bool):
+        """Regression: a non-adopting policy in a streaming run scores over
+        the engine's live structure, so jobs submitted after attach (and
+        jobs retired mid-run) are scored without a stale task set."""
+        cluster = cluster_profile("cluster")
+        cfg = DSPConfig()
+        workload = build_workload_for_cluster(
+            6, cluster, scale=10.0, seed=3, config=cfg, demand_fraction=0.8
         )
-        assert engine.runtime.policy._index is None
-        engine.run()
+        deadlines = compute_level_deadlines(workload, cluster, cfg)
+        engine = _engine(
+            cluster,
+            workload.jobs,
+            deadlines,
+            False,
+            preemption=DSPPreemption(cfg.replace(gamma=0.3)),
+            dsp_config=cfg,
+            sim_config=_sim_cfg().replace(retire_completed=retire),
+        )
+        assert engine.runtime.policy._core is None
+        metrics = _drive(engine)
+        assert metrics.jobs_completed == len(workload.jobs)
+        assert metrics.num_preemptions > 0
 
 
 # ------------------------------------- stateless fallback self-consistency
