@@ -192,8 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
             "retiring completed jobs' state so memory tracks the live "
             "window, not the trace size.  The workload is either a Google "
             "task_events CSV (--trace) or the synthetic generator "
-            "(--synthetic N).  Preemption-free: replay measures "
-            "throughput and memory, not the §V-B policies."
+            "(--synthetic N).  Preemption-free by default (--policy "
+            "none); --policy runs one of the §V-B preemption methods "
+            "online at scale."
         ),
     )
     src = spl.add_mutually_exclusive_group(required=True)
@@ -206,6 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream N jobs from the synthetic workload generator",
     )
     spl.add_argument("--scheduler", choices=SCHEDULER_NAMES, default="DSP")
+    spl.add_argument(
+        "--policy", choices=(*PREEMPTION_NAMES, "none"), default="none",
+        help="online preemption policy (default none)",
+    )
     spl.add_argument("--profile", choices=("cluster", "ec2"), default="cluster")
     spl.add_argument("--node-scale", type=float, default=5.0)
     spl.add_argument(
@@ -448,7 +453,7 @@ def _run(args) -> int:
 
     from .experiments import analysis_report, compute_level_deadlines
     from .locality import with_random_inputs
-    from .sim import NullPreemption, SimEngine, random_fault_plan
+    from .sim import SimEngine, random_fault_plan
 
     # Graceful shutdown: SIGTERM/SIGINT stop the kernel at the next
     # settled point, where the full state is snapshot-safe.  Handlers
@@ -487,11 +492,7 @@ def _run(args) -> int:
                 cluster, horizon=sim.horizon / 100, rng=args.seed, mtbf=args.mtbf
             )
         scheduler = make_schedulers(cluster, cfg)[args.scheduler]
-        policy = (
-            NullPreemption()
-            if args.policy == "none"
-            else make_preemption_policies(cfg)[args.policy]
-        )
+        policy, dependency_aware = _policy_wiring(args.policy, scheduler, cfg)
         membership = None
         elastic = None
         if args.membership_plan is not None:
@@ -524,11 +525,7 @@ def _run(args) -> int:
             membership=membership,
             elastic=elastic,
             task_deadlines=compute_level_deadlines(workload, cluster, cfg),
-            dependency_aware_dispatch=(
-                getattr(scheduler, "respects_dependencies", True)
-                if args.policy == "none"
-                else policy.respects_dependencies
-            ),
+            dependency_aware_dispatch=dependency_aware,
             faults=faults,
             record_trace=args.gantt,
             snapshots=snapshots,
@@ -620,6 +617,18 @@ def _run(args) -> int:
             signal.signal(signum, handler)
 
 
+def _policy_wiring(name: str, scheduler, cfg):
+    """(preemption policy, dependency-aware dispatch) for a ``--policy``
+    choice: ``none`` runs no preemption and dispatches as the scheduler
+    assumes; a named policy's own dependency stance governs dispatch."""
+    from .sim import NullPreemption
+
+    if name == "none":
+        return NullPreemption(), getattr(scheduler, "respects_dependencies", True)
+    policy = make_preemption_policies(cfg)[name]
+    return policy, policy.respects_dependencies
+
+
 def _replay(args) -> int:
     """The ``repro replay`` command body: a streaming frontier run with
     completed-job retirement, mirroring ``_run``'s signal/resume plumbing."""
@@ -631,7 +640,6 @@ def _replay(args) -> int:
     from .config import FrontierConfig
     from .experiments import workload_spec_for_cluster
     from .sim import (
-        NullPreemption,
         SimEngine,
         SimulationInterrupted,
         StreamingFrontier,
@@ -663,6 +671,7 @@ def _replay(args) -> int:
             retire_batch=args.retire_batch,
         )
         scheduler = make_schedulers(cluster, cfg)[args.scheduler]
+        policy, dependency_aware = _policy_wiring(args.policy, scheduler, cfg)
         # The spec calibrates demands/deadlines to the cluster for both
         # sources; for --trace only its reference fields matter.
         spec = workload_spec_for_cluster(
@@ -700,12 +709,10 @@ def _replay(args) -> int:
                 every_sim_seconds=args.snapshot_seconds,
             )
         kwargs = dict(
-            preemption=NullPreemption(),
+            preemption=policy,
             dsp_config=cfg,
             sim_config=sim,
-            dependency_aware_dispatch=getattr(
-                scheduler, "respects_dependencies", True
-            ),
+            dependency_aware_dispatch=dependency_aware,
             streaming=True,
             snapshots=snapshots,
             journal=args.journal,
@@ -749,7 +756,7 @@ def _replay(args) -> int:
                     f"error: --resume: snapshot {path} does not match this "
                     f"replay configuration:\n  {exc}\n"
                     "hint: rerun with exactly the flags the killed replay "
-                    "used (scheduler, source, seeds, window)",
+                    "used (scheduler, policy, source, seeds, window)",
                     file=sys.stderr,
                 )
                 return 1

@@ -212,10 +212,12 @@ class DSPPreemption(PreemptionPolicy):
         now = runtime.now
         ids = ordered + queued
         rows = core.rows_of(ids)
+        # Scores first: the scoring pass is what the generation's scan
+        # columns are derived from.
+        scores = core.scores_at(rows, now)
         overdue, allowable, runnable, preemptable = core.scan_signals(
             rows, now, node.rate, runtime.max_preemptions
         )
-        scores = core.scores_at(rows, now)
         n_run = len(ordered)
         epoch = runtime.sim_config.epoch
 

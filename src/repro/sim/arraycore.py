@@ -11,9 +11,23 @@ loops against it:
   in one vectorized pass per (clock, version) generation;
 * **victim/eligibility scans** — the dispatcher's queue scan and the
   stall-timeout sweep become boolean masks over the columns instead of
-  Python loops over runtime objects;
+  Python loops over runtime objects, and Algorithm 1's victim-scan
+  signals are derived for every row once per generation (off the
+  scoring pass's allowable column), so each further contended node of
+  an epoch sweep costs one gather;
 * **view assembly** — :class:`~repro.sim.views.ViewCache` computes every
   ``TaskView`` signal for a node in one vectorized shot.
+
+Node stamps
+-----------
+Each node position carries a change stamp (:meth:`ArrayCore.node_stamp`)
+drawn from one counter that never repeats.  It moves whenever something
+the dispatcher's state predicates read for that node may have moved: a
+row on the node re-synced (old and new node both), a child on it lost
+an unfinished parent, node membership changed, or a full resync ran
+(one restamp for all nodes; :meth:`ArrayCore._sync_row` never bumps).
+The dispatcher's no-op memo (see
+:meth:`~repro.sim.dispatch.DispatchSubsystem.dispatch`) keys on it.
 
 Consistency model
 -----------------
@@ -66,7 +80,8 @@ and *asserted* against an independent derivation (see
 
 This is the engine's only scoring and scanning path: the object-model
 loops it replaced survive only as test oracles
-(``tests/test_arraycore.py`` for the dispatch and stall scans,
+(``tests/test_arraycore.py`` for the dispatch and stall scans, the
+generation-cached victim-scan signals and the dispatch memo's skips,
 ``tests/test_sched_core.py`` for scoring and Algorithm 1).
 """
 
@@ -142,6 +157,22 @@ _WORLD_EVENTS = (
     k.NodeDecommissioned,
     k.DrainAborted,
 )
+
+
+def _remaining_time(now, rate, state, size, work, run_start, cur_rec, rec_due):
+    """Vectorized ``TaskRuntime.remaining_time_at`` over gathered columns
+    (same ops, same order; *rate* is a scalar or per-row array; the
+    unselected branch may produce NaN, discarded by the final
+    ``where``)."""
+    running = (state == _RUNNING) & ~np.isnan(run_start)
+    elapsed = now - run_start
+    unpaid = np.maximum(0.0, cur_rec - elapsed)
+    prog = np.maximum(0.0, elapsed - cur_rec)
+    work_r = np.minimum(size, work + prog * rate)
+    rem_r = unpaid + np.maximum(0.0, size - work_r) / rate
+    work_n = np.minimum(size, work)
+    rem_n = rec_due + np.maximum(0.0, size - work_n) / rate
+    return np.where(running, rem_r, rem_n)
 
 
 class DenseIds:
@@ -243,12 +274,23 @@ class ArrayCore:
         )
         self._node_rate = np.zeros(len(self._node_list))
         self._node_free: list[int] = []
+        # Per-node change stamps (see node_stamp), drawn from one counter
+        # that only ever increases, so no stamp value is ever reissued.
+        self._stamp_clock = 0
+        self._node_stamp: list[int] = []
+        self._restamp_all()
 
-        # Score cache, valid for one (clock, version) generation.
+        # Score cache, valid for one (clock, version) generation, plus the
+        # generation's allowable-wait column (Eq. 13's third term).
         self._scores: np.ndarray | None = None
         self._scores_now: float | None = None
         self._scores_version = -1
         self._version = 0
+        self._allowable_col: np.ndarray | None = None
+        # Victim-scan columns of one generation, keyed by
+        # (now, version, max_preemptions).
+        self._scan_key: tuple | None = None
+        self._scan_cols: tuple[np.ndarray, ...] = ()
 
         # Observability counters (round-tripped by snapshots).
         self.hits = 0
@@ -389,7 +431,41 @@ class ArrayCore:
         row = self._row_of.get(task_id)
         if row is None:
             return  # retired with its job (e.g. a late speculation event)
-        self._sync_row(row, self._rt.state.tasks[task_id])
+        self._sync_stamped(row, self._rt.state.tasks[task_id])
+
+    def _sync_stamped(self, row: int, t) -> None:
+        """:meth:`_sync_row` plus a stamp bump on the row's node before
+        and after the sync (a task leaving one queue and joining another
+        changes what both nodes can dispatch).  Full resyncs restamp
+        every node once instead, which is why :meth:`_sync_row` itself
+        never bumps."""
+        old = int(self._node[row])
+        self._sync_row(row, t)
+        new = int(self._node[row])
+        self._bump(old)
+        if new != old:
+            self._bump(new)
+
+    def _bump(self, pos: int) -> None:
+        """Give node position *pos* a fresh stamp (no-op for the -1 of
+        unassigned rows)."""
+        if pos >= 0:
+            self._stamp_clock += 1
+            self._node_stamp[pos] = self._stamp_clock
+
+    def _restamp_all(self) -> None:
+        """One fresh stamp for every node position."""
+        self._stamp_clock += 1
+        self._node_stamp = [self._stamp_clock] * len(self._node_list)
+
+    def node_stamp(self, node: "NodeRuntime") -> int:
+        """*node*'s change stamp.  It moves whenever anything the
+        dispatcher's state predicates read for the node's queue may have
+        moved: a row on the node re-synced, a child's unfinished-parent
+        count dropped, node membership changed, or a full resync ran.
+        Stamps are never reissued (one counter feeds them all), so a
+        re-joined node id or a rebuilt mirror cannot match a stale one."""
+        return self._node_stamp[self._node_pos[node.node_id]]
 
     def _on_task_event(self, event) -> None:
         self._sync_task(event.task_id)
@@ -405,7 +481,7 @@ class ArrayCore:
         row = self._row_of.get(tid)
         state = self._rt.state
         if row is not None:
-            self._sync_row(row, state.tasks[tid])
+            self._sync_stamped(row, state.tasks[tid])
         # Mirror the two mutations the completion path performs *after*
         # emitting TaskFinished (see DispatchSubsystem.finalize_completion):
         # children lose an unfinished parent, parents lose a live dependent.
@@ -414,6 +490,7 @@ class ArrayCore:
             crow = row_of.get(child)
             if crow is not None:
                 self._unfinished[crow] -= 1
+                self._bump(int(self._node[crow]))
         for parent in state.static_tasks[tid].parents:
             prow = row_of.get(parent)
             if prow is not None:
@@ -474,6 +551,7 @@ class ArrayCore:
         for tid, row in self._row_of.items():
             self._sync_row(row, tasks[tid])
         self._version += 1
+        self._restamp_all()
 
     # ------------------------------------------------- elastic membership
     def add_node(self, node: "NodeRuntime") -> None:
@@ -486,7 +564,9 @@ class ArrayCore:
             pos = len(self._node_list)
             self._node_list.append(node)
             self._node_rate = np.append(self._node_rate, 0.0)
+            self._node_stamp.append(0)
         self._node_pos[node.node_id] = pos
+        self._bump(pos)
         self._version += 1
 
     def remove_node(self, node_id: str) -> None:
@@ -496,6 +576,7 @@ class ArrayCore:
         pos = self._node_pos.pop(node_id)
         self._node_list[pos] = None
         self._node_free.append(pos)
+        self._bump(pos)
         self._version += 1
 
     def reset_nodes(self) -> None:
@@ -508,12 +589,14 @@ class ArrayCore:
         self._node_list = list(state.nodes.values())
         self._node_rate = np.zeros(len(self._node_list))
         self._node_free = []
+        self._restamp_all()
         self._version += 1
 
     # ------------------------------------------------------------- scoring
     def _ensure_scores(self, now: float) -> bool:
-        """Make the score vector current for (*now*, mirror version);
-        True when a recompute pass ran (a cache miss generation)."""
+        """Make the score vector (and the generation's allowable column)
+        current for (*now*, mirror version); True when a recompute pass
+        ran (a cache miss generation)."""
         if (
             self._scores is None
             or now != self._scores_now
@@ -585,10 +668,21 @@ class ArrayCore:
 
     def _leaf_scores(self, now: float, n: int) -> np.ndarray:
         """Vectorized Eq. 13 over the first *n* rows (garbage on
-        completed/free rows, never read)."""
-        remaining = self._remaining(now, n, self._rates(n))
+        completed/free rows, never read).  Keeps the allowable-wait
+        column for the generation's victim scans."""
+        remaining = _remaining_time(
+            now,
+            self._rates(n),
+            self._state[:n],
+            self._size[:n],
+            self._work[:n],
+            self._run_start[:n],
+            self._cur_recovery[:n],
+            self._recovery_due[:n],
+        )
         waiting = self._waiting(now, n)
         allowable = self._deadline[:n] - now - remaining
+        self._allowable_col = allowable
         return (
             self._w_rem / np.maximum(remaining, _REMAINING_FLOOR)
             + self._w_wait * waiting
@@ -613,24 +707,6 @@ class ArrayCore:
         # The -1 of unassigned rows wraps to the last node; np.where
         # discards those lanes.
         return np.where(nd >= 0, self._node_rate.take(nd), mean)
-
-    def _remaining(self, now: float, n: int, rate: np.ndarray) -> np.ndarray:
-        """Vectorized ``TaskRuntime.remaining_time_at`` (same ops, same
-        order; the unselected branch may produce NaN, discarded by the
-        final ``where``)."""
-        size = self._size[:n]
-        work = self._work[:n]
-        run_start = self._run_start[:n]
-        cur_rec = self._cur_recovery[:n]
-        running = (self._state[:n] == _RUNNING) & ~np.isnan(run_start)
-        elapsed = now - run_start
-        unpaid = np.maximum(0.0, cur_rec - elapsed)
-        prog = np.maximum(0.0, elapsed - cur_rec)
-        work_r = np.minimum(size, work + prog * rate)
-        rem_r = unpaid + np.maximum(0.0, size - work_r) / rate
-        work_n = np.minimum(size, work)
-        rem_n = self._recovery_due[:n] + np.maximum(0.0, size - work_n) / rate
-        return np.where(running, rem_r, rem_n)
 
     def _waiting(self, now: float, n: int) -> np.ndarray:
         """Vectorized ``TaskRuntime.waiting_time_at``."""
@@ -695,6 +771,24 @@ class ArrayCore:
         )
         return [tid for _, tid in cand]
 
+    def blind_wake(self, node: "NodeRuntime", now: float) -> float:
+        """Earliest planned start among *node*'s queued, unrunnable,
+        unbanned tasks that the dependency-blind gate still holds back
+        at *now* (``inf`` when none): the first instant at which the
+        blind :meth:`dispatch_candidates` can grow without a row
+        change."""
+        n = self._ids.capacity
+        pos = self._node_pos[node.node_id]
+        planned = self._planned[:n]
+        held = (
+            (self._state[:n] == _QUEUED)
+            & (self._node[:n] == pos)
+            & (self._unfinished[:n] != 0)
+            & ~self._banned[:n]
+            & (now + EPS < planned)
+        )
+        return float(planned[held].min()) if held.any() else np.inf
+
     def stall_timeout_candidates(
         self, now: float, timeout: float
     ) -> list[str]:
@@ -721,26 +815,6 @@ class ArrayCore:
         )
         return [tid for _, tid in ordered]
 
-    def _remaining_at(
-        self, idx: np.ndarray, state: np.ndarray, now: float, rate: float
-    ) -> np.ndarray:
-        """Per-row ``TaskRuntime.remaining_time_at`` for a gathered row
-        subset (same ops and order as the full-array :meth:`_remaining`,
-        with the node's scalar rate)."""
-        size = self._size.take(idx)
-        work = self._work.take(idx)
-        run_start = self._run_start.take(idx)
-        cur_rec = self._cur_recovery.take(idx)
-        running = (state == _RUNNING) & ~np.isnan(run_start)
-        elapsed = now - run_start
-        unpaid = np.maximum(0.0, cur_rec - elapsed)
-        prog = np.maximum(0.0, elapsed - cur_rec)
-        work_r = np.minimum(size, work + prog * rate)
-        rem_r = unpaid + np.maximum(0.0, size - work_r) / rate
-        work_n = np.minimum(size, work)
-        rem_n = self._recovery_due.take(idx) + np.maximum(0.0, size - work_n) / rate
-        return np.where(running, rem_r, rem_n)
-
     def scan_signals(
         self,
         rows: list[int],
@@ -751,24 +825,40 @@ class ArrayCore:
         """The victim-scan subset of :meth:`view_signals` — (overdue,
         allowable, is_runnable, is_preemptable) only, identical float ops
         — for policies that run Algorithm 1 straight off the columns and
-        never touch the waiting/stint signals."""
+        never touch the waiting/stint signals.
+
+        *rows* must all sit on one node whose current rate is *rate*.
+        The first call of a (*now*, version, *max_preemptions*)
+        generation derives the four signals for every row at once, taking
+        allowable straight from the scoring pass (whose remaining time
+        used each row's node rate, so the floats equal a per-node
+        derivation at *rate*: a re-time is a world event and opens a new
+        generation); every later call of the generation only gathers
+        *rows*.  Call it after :meth:`scores_at` for the same instant —
+        a pass it has to run itself is booked by no hit/miss count."""
+        self._ensure_scores(now)
+        key = (now, self._version, max_preemptions)
+        if self._scan_key != key:
+            self._scan_cols = self._scan_columns(now, max_preemptions)
+            self._scan_key = key
         idx = np.asarray(rows, dtype=np.intp)
-        state = self._state.take(idx)
-        remaining = self._remaining_at(idx, state, now, rate)
-        qs = self._queued_since.take(idx)
+        return tuple(col.take(idx).tolist() for col in self._scan_cols)
+
+    def _scan_columns(
+        self, now: float, max_preemptions: int
+    ) -> tuple[np.ndarray, ...]:
+        """(overdue, allowable, runnable, preemptable) over every row of
+        the current generation."""
+        n = self._ids.capacity
+        state = self._state[:n]
+        qs = self._queued_since[:n]
         queued = ~np.isnan(qs)
-        baseline = np.maximum(qs, self._planned.take(idx))
+        baseline = np.maximum(qs, self._planned[:n])
         overdue = np.where(queued, np.maximum(0.0, now - baseline), 0.0)
-        allowable = self._deadline.take(idx) - now - remaining
-        runnable = self._unfinished.take(idx) == 0
+        runnable = self._unfinished[:n] == 0
         occupies = (state == _RUNNING) | (state == _STALLED)
-        preemptable = occupies & (self._preempt_count.take(idx) < max_preemptions)
-        return (
-            overdue.tolist(),
-            allowable.tolist(),
-            runnable.tolist(),
-            preemptable.tolist(),
-        )
+        preemptable = occupies & (self._preempt_count[:n] < max_preemptions)
+        return overdue, self._allowable_col, runnable, preemptable
 
     def view_signals(
         self,
@@ -782,7 +872,16 @@ class ArrayCore:
         is_runnable, occupies, is_preemptable) as plain Python lists."""
         idx = np.asarray(rows, dtype=np.intp)
         state = self._state.take(idx)
-        remaining = self._remaining_at(idx, state, now, rate)
+        remaining = _remaining_time(
+            now,
+            rate,
+            state,
+            self._size.take(idx),
+            self._work.take(idx),
+            self._run_start.take(idx),
+            self._cur_recovery.take(idx),
+            self._recovery_due.take(idx),
+        )
 
         qs = self._queued_since.take(idx)
         queued = ~np.isnan(qs)
@@ -858,3 +957,4 @@ class ArrayCore:
         self._scores = None
         self._scores_now = None
         self._scores_version = -1
+        self._scan_key = None

@@ -14,6 +14,8 @@ this module as bus events; the only direct mutations are to
 
 from __future__ import annotations
 
+import math
+
 from .._util import EPS
 from ..dag.task import TaskState
 from .events import EventKind
@@ -41,6 +43,9 @@ class DispatchSubsystem:
     def __init__(self, runtime: SimRuntime) -> None:
         self._rt = runtime
         self._wakes: set[str] = set()  # nodes peers asked to re-dispatch
+        # node id -> (stamp, free capacity, wake) of its last walk that
+        # started nothing (see dispatch).
+        self._idle: dict[str, tuple] = {}
 
     # ------------------------------------------------------------- arrivals
     def on_arrival(self, job_id: str) -> None:
@@ -128,24 +133,52 @@ class DispatchSubsystem:
 
         Dependency-aware runs start only runnable tasks; unaware runs also
         start tasks whose planned start has passed (stalling them when
-        parents are unfinished — a disorder)."""
+        parents are unfinished — a disorder).
+
+        A walk that starts nothing leaves a memo (the node's array-core
+        stamp, its free capacity, and a wake instant); a later call whose
+        stamp and free capacity are unchanged and whose clock is still
+        before the wake returns without walking, because the walk would
+        start nothing again.  The wake is the earliest instant a skipped
+        candidate's retry backoff ends or, dependency-blind, a held-back
+        task's planned start passes.  The memo is derived state: a run
+        resumed with an empty memo decides identically."""
         rt = self._rt
         if not node.available or node.queue_length == 0:
             return
         if any(gate(node.node_id) for gate in rt.state.dispatch_gates):
             return
         now = rt.now
+        core = rt.array
+        stamp = core.node_stamp(node)
+        idle = self._idle.get(node.node_id)
+        if (
+            idle is not None
+            and idle[0] == stamp
+            and idle[1] is node.free
+            and now + EPS < idle[2]
+        ):
+            return
         # Candidates come off the array mirror in queue order
         # ((planned_start, task_id)), already filtered by the state
         # predicates.  The retry gate and the capacity check stay
         # per-candidate: they read live state that changes as earlier
         # candidates start.
-        for tid in rt.array.dispatch_candidates(node, now, rt.dependency_aware):
+        started = False
+        wake = math.inf
+        for tid in core.dispatch_candidates(node, now, rt.dependency_aware):
             task = rt.state.tasks[tid]
             if now + EPS < task.retry_not_before:
-                continue  # retry still serving its backoff
+                # Retry still serving its backoff.
+                wake = min(wake, task.retry_not_before)
+                continue
             if node.fits(task.task.demand):
                 self.start_task(task, node)
+                started = True
+        if not started:
+            if not rt.dependency_aware:
+                wake = min(wake, core.blind_wake(node, now))
+            self._idle[node.node_id] = (stamp, node.free, wake)
 
     def start_task(self, task: TaskRuntime, node: NodeRuntime) -> None:
         """Move a queued task onto the node (RUNNING, or STALLED when its

@@ -111,7 +111,8 @@ def _fingerprint(engine: "SimEngine") -> dict:
         "nodes": list(getattr(engine, "_initial_node_ids", ()) or state.nodes),
         "elastic": getattr(engine, "elastic", None) is not None,
         "scheduler": type(rt.scheduler).__name__,
-        "policy": type(rt.policy).__name__,
+        # The registry label, not the class: DSP and DSPW/oPP share one.
+        "policy": getattr(rt.policy, "name", type(rt.policy).__name__),
         "dependency_aware": rt.dependency_aware,
         "max_preemptions": rt.max_preemptions,
         "view_queue_limit": rt.view_queue_limit,

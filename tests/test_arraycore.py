@@ -16,6 +16,13 @@ This module covers the substrate underneath:
   candidate scan and the stall-timeout sweep equal reference walks over
   the runtime objects (``node.queued_ids()`` and ``node.running``), in
   dependency-aware and dependency-blind runs.
+* **Scan-column oracle** — at every epoch tick, for every contended node,
+  the generation-cached victim-scan signals equal a per-node derivation
+  (the pre-caching ``_remaining_at`` path, kept here as the oracle), bit
+  for bit, in a chaos run and a streaming run with retirement.
+* **Dispatch-memo oracle** — every dispatch call the no-op memo skips is
+  re-checked by a reference walk that must find nothing startable, in
+  batch, chaos-with-backoff, elastic and dependency-blind runs.
 * **Retirement** — a completed job's rows return to the free list, and a
   streaming-admitted successor reuses them without aliasing.
 * **Rebuild** — ``rebuild_and_assert`` (the restore-path guard) passes
@@ -24,26 +31,29 @@ This module covers the substrate underneath:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._util import EPS
 from repro.cluster import Cluster, NodeSpec, ResourceVector
-from repro.config import DSPConfig, ResilienceConfig
+from repro.config import DSPConfig, ElasticConfig, ResilienceConfig, SimConfig
 from repro.core import HeuristicScheduler
 from repro.core.preemption import DSPPreemption
 from repro.dag import Job, Task
 from repro.dag.task import TaskState
-from repro.sim import SimEngine
-from repro.sim.arraycore import _STATE_CODE, ArrayCore, DenseIds
+from repro.sim import MembershipEvent, SimEngine
+from repro.sim.arraycore import _RUNNING, _STALLED, _STATE_CODE, ArrayCore, DenseIds
+from repro.sim.kernel import EpochTick
 
-from test_sched_core import _chaos_inputs, _engine, _sim_cfg
+from test_sched_core import _chaos_inputs, _drive, _engine, _faulty_engine, _sim_cfg
 
 
 # ------------------------------------------------------------- allocator
@@ -240,6 +250,292 @@ class TestMirrorFreshness:
         assert totals["blind_extra"] > 0, totals
         assert totals["stalls"] > 0, totals
         engine.finalize()
+
+
+# ------------------------------------------------- scan-column oracle
+def _reference_scan(core: ArrayCore, rows, now: float, rate: float, max_preemptions: int):
+    """Victim-scan signals of one node's rows derived per node: every
+    column gathered for *rows* only, remaining time at the node's scalar
+    *rate* (``TaskRuntime.remaining_time_at``'s ops, in its order)."""
+    idx = np.asarray(rows, dtype=np.intp)
+    state = core._state.take(idx)
+    size = core._size.take(idx)
+    work = core._work.take(idx)
+    run_start = core._run_start.take(idx)
+    cur_rec = core._cur_recovery.take(idx)
+    running = (state == _RUNNING) & ~np.isnan(run_start)
+    elapsed = now - run_start
+    unpaid = np.maximum(0.0, cur_rec - elapsed)
+    prog = np.maximum(0.0, elapsed - cur_rec)
+    work_r = np.minimum(size, work + prog * rate)
+    rem_r = unpaid + np.maximum(0.0, size - work_r) / rate
+    work_n = np.minimum(size, work)
+    rem_n = core._recovery_due.take(idx) + np.maximum(0.0, size - work_n) / rate
+    remaining = np.where(running, rem_r, rem_n)
+    qs = core._queued_since.take(idx)
+    queued = ~np.isnan(qs)
+    baseline = np.maximum(qs, core._planned.take(idx))
+    overdue = np.where(queued, np.maximum(0.0, now - baseline), 0.0)
+    allowable = core._deadline.take(idx) - now - remaining
+    runnable = core._unfinished.take(idx) == 0
+    occupies = (state == _RUNNING) | (state == _STALLED)
+    preemptable = occupies & (core._preempt_count.take(idx) < max_preemptions)
+    return (
+        overdue.tolist(),
+        allowable.tolist(),
+        runnable.tolist(),
+        preemptable.tolist(),
+    )
+
+
+def _bits(values: list[float]) -> list[str]:
+    return [float.hex(v) for v in values]
+
+
+def _check_scans_at_epochs(engine: SimEngine) -> dict[str, int]:
+    """Subscribe a checker that compares, at every EpochTick (emitted
+    right before the victim scan), the cached scan signals of every
+    contended node against :func:`_reference_scan`."""
+    rt = engine.runtime
+    core = rt.array
+    seen = {"nodes": 0, "ticks": 0}
+
+    def check(_event) -> None:
+        seen["ticks"] += 1
+        for node in rt.state.nodes.values():
+            if not node.running or not node.queue_length:
+                continue
+            ordered, queued = rt.views.node_order(node)
+            rows = core.rows_of(ordered + queued)
+            got = core.scan_signals(rows, rt.now, node.rate, rt.max_preemptions)
+            want = _reference_scan(core, rows, rt.now, node.rate, rt.max_preemptions)
+            assert _bits(got[0]) == _bits(want[0]), (rt.now, node.node_id)
+            assert _bits(got[1]) == _bits(want[1]), (rt.now, node.node_id)
+            assert got[2:] == want[2:], (rt.now, node.node_id)
+            seen["nodes"] += 1
+
+    rt.bus.subscribe(EpochTick, check)
+    return seen
+
+
+class TestScanColumns:
+    def test_cached_scan_matches_per_node_derivation_chaos(self):
+        engine = _faulty_engine(2, DSPConfig())
+        seen = _check_scans_at_epochs(engine)
+        engine.run()
+        assert seen["nodes"] > 20, seen
+
+    def test_cached_scan_matches_per_node_derivation_streaming_retire(self):
+        cfg = DSPConfig()
+        cluster, workload, deadlines, _faults = _chaos_inputs(5, cfg)
+        engine = _engine(
+            cluster,
+            workload.jobs,
+            deadlines,
+            False,
+            preemption=DSPPreemption(cfg),
+            dsp_config=cfg,
+            sim_config=dataclasses.replace(_sim_cfg(), retire_completed=True),
+        )
+        seen = _check_scans_at_epochs(engine)
+        metrics = _drive(engine)
+        assert seen["nodes"] > 20, seen
+        assert engine.runtime.array._ids.free_count > 0, "nothing retired"
+        assert metrics.jobs_completed == len(workload.jobs)
+
+    def test_scan_cache_follows_max_preemptions(self):
+        """The cache key includes the preemption cap: a second call in
+        the same generation with another cap re-derives preemptable."""
+        engine = _faulty_engine(0, DSPConfig(), batch=False)
+        rt = engine.runtime
+        core = rt.array
+        checked = 0
+        while engine.pump(50) and not checked:
+            for node in rt.state.nodes.values():
+                if not node.running:
+                    continue
+                rows = core.rows_of(sorted(node.running))
+                for cap in (0, rt.max_preemptions, 0):
+                    got = core.scan_signals(rows, rt.now, node.rate, cap)
+                    want = _reference_scan(core, rows, rt.now, node.rate, cap)
+                    assert got[3] == want[3]
+                checked += 1
+        assert checked
+
+
+# -------------------------------------------------- dispatch-memo oracle
+def _memo_oracle(engine: SimEngine) -> dict[str, int]:
+    """Wrap the engine's dispatcher so every call the no-op memo skips
+    is re-checked: a reference walk (the candidate scan, then the retry
+    gate, then the capacity check) must find nothing startable.  A call
+    counts as skipped when it passed the availability and gate checks
+    yet never reached the candidate scan."""
+    rt = engine.runtime
+    core = rt.array
+    disp = rt.dispatch
+    real_dispatch = disp.dispatch
+    real_candidates = core.dispatch_candidates
+    walks = [0]
+    seen = {"calls": 0, "skips": 0, "retry_gated": 0, "timed_wake": 0}
+
+    def counting_candidates(node, now, dependency_aware):
+        walks[0] += 1
+        return real_candidates(node, now, dependency_aware)
+
+    def checked_dispatch(node):
+        seen["calls"] += 1
+        eligible = (
+            node.available
+            and node.queue_length > 0
+            and not any(gate(node.node_id) for gate in rt.state.dispatch_gates)
+        )
+        before = walks[0]
+        startable = []
+        gated = 0
+        if eligible:
+            now = rt.now
+            for tid in real_candidates(node, now, rt.dependency_aware):
+                task = rt.state.tasks[tid]
+                if now + EPS < task.retry_not_before:
+                    gated += 1
+                elif node.fits(task.task.demand):
+                    startable.append(tid)
+        real_dispatch(node)
+        if eligible and walks[0] == before:
+            seen["skips"] += 1
+            assert startable == [], (rt.now, node.node_id, startable)
+            seen["retry_gated"] += bool(gated)
+            seen["timed_wake"] += disp._idle[node.node_id][2] < math.inf
+
+    core.dispatch_candidates = counting_candidates
+    disp.dispatch = checked_dispatch
+    return seen
+
+
+def _one_lane(n: int) -> Cluster:
+    return Cluster([
+        NodeSpec(node_id=f"n{i}", cpu_size=1.0, mem_size=1.0, mips_per_unit=500.0)
+        for i in range(n)
+    ])
+
+
+def _lane_event(time: float, action: str, node_id: str) -> MembershipEvent:
+    return MembershipEvent(
+        time=time, action=action, node_id=node_id,
+        cpu_size=1.0, mem_size=1.0, mips_per_unit=500.0,
+    )
+
+
+class TestDispatchMemo:
+    def test_batch_dsp(self):
+        cfg = DSPConfig()
+        cluster, workload, deadlines, _faults = _chaos_inputs(1, cfg)
+        engine = _engine(
+            cluster,
+            workload.jobs,
+            deadlines,
+            True,
+            preemption=DSPPreemption(cfg),
+            dsp_config=cfg,
+            sim_config=_sim_cfg(),
+        )
+        seen = _memo_oracle(engine)
+        engine.run()
+        assert seen["skips"] > 0, seen
+
+    def test_chaos_with_retry_backoff(self):
+        cfg = DSPConfig()
+        cluster, workload, deadlines, faults = _chaos_inputs(2, cfg)
+        engine = _engine(
+            cluster,
+            workload.jobs,
+            deadlines,
+            True,
+            preemption=DSPPreemption(cfg),
+            dsp_config=cfg,
+            sim_config=_sim_cfg(),
+            faults=faults,
+            # Long backoffs keep failed attempts gated across many calls.
+            resilience=ResilienceConfig(max_attempts=12, backoff_base=8.0),
+        )
+        seen = _memo_oracle(engine)
+        engine.run()
+        assert seen["skips"] > 0, seen
+        assert seen["retry_gated"] > 0, seen
+        assert seen["timed_wake"] > 0, seen
+
+    def test_elastic_autoscale_with_rejoined_node(self):
+        """Joins and drains from the autoscaler, plus a scripted drain of
+        n1 and a later re-join under the same id."""
+        jobs = [
+            _chain_job(f"J{j}", 6)
+            for j in range(4)
+        ] + [
+            Job.from_tasks(
+                "W",
+                [
+                    Task(
+                        task_id=f"W.t{i}", job_id="W", size_mi=20000.0,
+                        demand=ResourceVector(cpu=1.0, mem=0.5),
+                    )
+                    for i in range(16)
+                ],
+                deadline=1e9,
+            )
+        ]
+        cluster = _one_lane(3)
+        engine = SimEngine(
+            cluster,
+            jobs,
+            HeuristicScheduler(cluster),
+            sim_config=SimConfig(
+                epoch=1.0, scheduling_period=10.0, invariants="strict"
+            ),
+            membership=[
+                _lane_event(5.0, "drain", "n1"),
+                _lane_event(40.0, "join", "n1"),
+            ],
+            elastic=ElasticConfig(
+                autoscale=True, check_period=5.0,
+                scale_up_queue_depth=3.0, scale_up_sustain=10.0,
+                scale_down_idle_nodes=1, scale_down_sustain=30.0,
+                cooldown=20.0, min_nodes=1, max_nodes=5,
+                join_delay=5.0, drain_step=2.0,
+            ),
+        )
+        seen = _memo_oracle(engine)
+        metrics = engine.run()
+        assert metrics.tasks_completed == sum(len(j.tasks) for j in jobs)
+        assert metrics.nodes_joined >= 2, metrics.nodes_joined
+        assert metrics.nodes_decommissioned >= 1
+        assert "n1" in engine.runtime.state.nodes
+        assert seen["skips"] > 0, seen
+
+    def test_dependency_blind_stall_timeout(self):
+        engine = _streaming_chaos_engine(
+            2, dependency_aware_dispatch=False, stall_timeout=1.0
+        )
+        seen = _memo_oracle(engine)
+        _drive(engine)
+        assert seen["skips"] > 0, seen
+        assert seen["timed_wake"] > 0, seen
+
+    def test_rejoined_node_gets_fresh_stamp(self):
+        """A node id that leaves and re-joins never shows a stamp it
+        held before, whichever slot it lands in."""
+        engine = _faulty_engine(0, DSPConfig())
+        rt = engine.runtime
+        core = rt.array
+        node = next(iter(rt.state.nodes.values()))
+        seen = {core.node_stamp(node)}
+        for _ in range(3):
+            core.remove_node(node.node_id)
+            core.add_node(node)
+            stamp = core.node_stamp(node)
+            assert stamp not in seen
+            seen.add(stamp)
+        core.rebuild_and_assert()
+        assert core.node_stamp(node) not in seen
 
 
 # ----------------------------------------------------------- retirement

@@ -102,6 +102,52 @@ class TestGanttFlag:
         assert "t=[" in out  # the chart's time axis header
 
 
+class TestReplayPolicy:
+    ARGS = ["replay", "--synthetic", "20", "--scale", "20"]
+
+    @staticmethod
+    def _metric(out: str, name: str) -> float:
+        for line in out.splitlines():
+            key, _, value = line.partition(" ")
+            if key == name:
+                return float(value)
+        raise AssertionError(f"{name} not printed")
+
+    def test_default_policy_is_none(self):
+        assert build_parser().parse_args(self.ARGS).policy == "none"
+
+    def test_dsp_policy_preempts(self, capsys):
+        rc = main(self.ARGS + ["--policy", "DSP"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert self._metric(out, "jobs_completed") == 20
+        assert self._metric(out, "num_preemptions") > 0
+
+    def test_resume_checks_policy(self, capsys, tmp_path):
+        """A snapshot taken under DSP resumes under DSP but is refused
+        under DSPW/oPP (same policy class, different variant)."""
+        snaps = str(tmp_path / "snaps")
+        rc = main(self.ARGS + [
+            "--policy", "DSP", "--snapshot-every", "400",
+            "--snapshot-dir", snaps,
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        expect = self._metric(out, "num_preemptions")
+        rc = main(self.ARGS + [
+            "--policy", "DSPW/oPP", "--resume", "--snapshot-dir", snaps,
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "does not match this replay configuration" in err
+        assert "'policy'" in err
+        rc = main(self.ARGS + [
+            "--policy", "DSP", "--resume", "--snapshot-dir", snaps,
+        ])
+        assert rc == 0
+        assert self._metric(capsys.readouterr().out, "num_preemptions") == expect
+
+
 class TestResumeFailurePaths:
     """--resume must fail fast with an actionable message, never a
     traceback and never a silent fresh start."""
