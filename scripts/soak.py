@@ -1,52 +1,22 @@
 #!/usr/bin/env python
-"""Seeded randomized soak harness with fault-plan minimization.
+"""Seeded randomized soak harness: run N cases of one soak mode.
 
-Runs N simulator cases — random small workloads crossed with chaos
-scenarios (:mod:`repro.sim.chaos`), scheduling/preemption policies and
-resilience on/off — with runtime invariant checking in ``strict`` mode
-(:mod:`repro.sim.invariants`).  Every case is fully determined by
-``(base_seed, case_index)``, so any failure reproduces from the command
-line.
-
-When a case fails (invariant violation or simulator error), the harness
-bisects the fault plan down to a minimal reproducing plan (classic
-removal-only ddmin; candidate plans are re-normalized so they stay
-valid) and writes a JSON repro artifact with the case parameters, the
-error, and the minimized plan.
-
-``--crash-recovery`` switches to kill-and-resume mode: each case runs
-uninterrupted (journal + snapshots + trace), is then crashed at a seeded
-random event index — every fifth case mid-snapshot-write via an injected
-I/O fault — recovered from the latest valid snapshot plus journal
-truncation, and golden-compared **byte-for-byte** (journal, trace,
-``RunMetrics``) against the uninterrupted run.  Mismatches copy both
-journals next to the repro artifact.
-
-``--service`` soaks the scheduler-as-a-service frontend instead: each
-case starts an inproc :class:`~repro.service.ServiceFrontend` over a
-chaos-injected streaming engine and slams it with dozens of concurrent
-clients across weighted tenants (submissions with retry-on-backpressure,
-plus a status prober).  The harness asserts the service contract — every
-request answered, and **zero acknowledged-job loss**: the set of
-``ok``-acknowledged jobs equals the set of jobs the engine completed,
-even with nodes failing and tasks being killed mid-run.  Failures write
-a JSON artifact with the case, reply histogram and final stats, plus the
-engine/admission journals for post-mortem.
-
-``--replay`` soaks the bounded-memory streaming replay path: each case
-runs a :class:`~repro.sim.StreamingFrontier` over a synthetic source with
-completed-job retirement on, kills it at a seeded random event pop —
-usually landing mid-pump-slice, the hard resume case — resumes from the
-latest snapshot's engine state, source cursor and frontier position, and
-golden-compares the resumed journal and metrics byte-for-byte against
-the uninterrupted run.
+Every case is fully determined by ``(mode, base_seed, case_index)``, so
+any failure reproduces from the command line or from the RunKey its
+JSON artifact carries.  The modes — ``plain`` (chaos x policy x
+resilience under strict invariants, ddmin-minimized fault plans),
+``crash-recovery``, ``elastic`` and ``replay`` (kill-and-resume with
+byte-for-byte parity) and ``service`` (zero acknowledged-job loss under
+a concurrent client fleet) — are described in
+:mod:`repro.sweep.soakcases`, which holds the whole harness.
 
 Usage::
 
     PYTHONPATH=src python scripts/soak.py --runs 50 --seed 0 --out soak_failures
-    PYTHONPATH=src python scripts/soak.py --crash-recovery --runs 21 --seed 0
-    PYTHONPATH=src python scripts/soak.py --service --runs 10 --seed 0
-    PYTHONPATH=src python scripts/soak.py --replay --runs 20 --seed 0
+    PYTHONPATH=src python scripts/soak.py --mode crash-recovery --runs 21 --seed 0
+    PYTHONPATH=src python scripts/soak.py --mode elastic --runs 30 --seed 0 --jobs 2
+    PYTHONPATH=src python scripts/soak.py --mode replay --runs 20 --seed 0
+    PYTHONPATH=src python scripts/soak.py --mode service --runs 30 --seed 0
 
 Exit status is non-zero iff at least one case failed.
 """
@@ -54,1388 +24,22 @@ Exit status is non-zero iff at least one case failed.
 from __future__ import annotations
 
 import argparse
-import asyncio
-import json
-import math
-import os
 import pathlib
-import shutil
 import sys
-import tempfile
-from dataclasses import dataclass
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np
-
-from repro.cluster.machine_specs import uniform_cluster
-from repro.config import (
-    ChaosConfig,
-    DSPConfig,
-    ElasticConfig,
-    FrontierConfig,
-    ServiceConfig,
-    SimConfig,
-    SnapshotConfig,
-    TenantQuota,
-)
-from repro.core.ilp_heuristic import HeuristicScheduler
-from repro.experiments.harness import workload_spec_for_cluster
-from repro.sim import (
-    AttemptBudgetExhausted,
-    DrainAborted,
-    FaultEvent,
-    InvariantViolation,
-    NodeDecommissioned,
-    NodeDraining,
-    SimEngine,
-    SimulatedCrash,
-    SimulationError,
-    StreamingFrontier,
-    SyntheticSource,
-    chaos_plan,
-    inject_crash,
-    latest_valid_snapshot,
-    membership_plan_to_json,
-    normalize_plan,
-    plan_to_json,
-    random_membership_plan,
-)
-from repro.service import ServiceClient, ServiceCore, ServiceFrontend
-
-# --------------------------------------------------------------- case grid
-#
-# The seeded case model (scenario mixes, policy cycling, engine
-# construction, case execution) lives in repro.sweep.soakcases so the
-# sweep fabric can replay any case by RunKey; the names are re-exported
-# here because this script is their historical home and the test suite
-# imports them from it.
-
-from repro.sweep import parallel_map  # noqa: E402
-from repro.sweep.soakcases import (  # noqa: E402, F401  (re-exports)
-    FAULT_HORIZON,
-    POLICY_NAMES,
-    SCENARIO_NAMES,
-    SCENARIOS,
-    SOAK_RESILIENCE,
-    Outcome,
-    SoakCase,
-    build_case,
-    case_inputs,
-    engine_args,
-    execute,
-    soak_run_key,
-)
-
-
-class OrderedReporter:
-    """Buffer out-of-order worker completions, handle them in case order.
-
-    The fabric's ``parallel_map`` fires ``on_complete`` in completion
-    order; soak output (and failure handling, which may run expensive
-    ddmin minimization) must happen in case order to stay byte-stable
-    with the serial harness.  ``handle(index, outcome)`` runs exactly
-    once per case, in index order.
-    """
-
-    def __init__(self, handle):
-        self._handle = handle
-        self._next = 0
-        self._buffered = {}
-
-    def add(self, index: int, outcome) -> None:
-        self._buffered[index] = outcome
-        while self._next in self._buffered:
-            self._handle(self._next, self._buffered.pop(self._next))
-            self._next += 1
-
-
-def _failure_outcome(outcome) -> Outcome:
-    """Fold a non-``ok`` fabric ``(status, payload)`` — a worker crash or
-    an interrupt — into a soak ``fail`` Outcome."""
-    status, payload = outcome[0], outcome[1]
-    if status == "error":
-        return Outcome(
-            "fail",
-            payload.get("type", "WorkerError"),
-            None,
-            payload.get("message"),
-        )
-    return Outcome("fail", "Interrupted", None, "run interrupted")
-
-
-# --------------------------------------------------------- crash recovery
-
-#: Snapshot cadence for crash-recovery cases: small enough that most
-#: crashes land past at least one snapshot, large enough to exercise a
-#: real replay suffix.
-CRASH_SNAPSHOT_EVERY = 40
-
-
-def run_one_crash_case(
-    case: SoakCase, workload, cluster, plan: list[FaultEvent], out_dir: pathlib.Path
-) -> Outcome:
-    """Golden crash-recovery parity check for one case.
-
-    1. Run the case uninterrupted with journal + trace + rotated
-       snapshots → reference journal bytes, trace and ``RunMetrics``.
-    2. Run it again and kill the engine at a seeded random event pop
-       (every fifth case instead injects an I/O fault *mid-snapshot-write*,
-       which also proves the atomic-rename protocol: the torn write
-       must not destroy older snapshots).
-    3. Recover: load the latest valid snapshot (or start over when the
-       crash predates the first one), reopen the journal at the
-       snapshot's offset, and run to completion.
-    4. The recovered run must match the reference **byte-for-byte**:
-       journal, trace, and ``RunMetrics.as_dict()``.
-
-    On mismatch the journals are copied next to the repro artifact for
-    post-mortem diffing (``repro journal <file>``).
-    """
-    rng = np.random.default_rng([case.base_seed, case.index, 0xC4A5])
-    with tempfile.TemporaryDirectory() as tmp_str:
-        tmp = pathlib.Path(tmp_str)
-
-        def durability(root: pathlib.Path) -> dict:
-            return dict(
-                record_trace=True,
-                journal=root / "run.journal",
-                snapshots=SnapshotConfig(
-                    directory=str(root / "snaps"),
-                    every_events=CRASH_SNAPSHOT_EVERY,
-                ),
-            )
-
-        # 1. Uninterrupted reference.
-        scheduler, kwargs = engine_args(case, workload, cluster, plan)
-        reference = SimEngine(
-            cluster, workload.jobs, scheduler, **kwargs, **durability(tmp / "ref")
-        )
-        try:
-            ref_metrics = reference.run().as_dict()
-        except AttemptBudgetExhausted as exc:
-            return Outcome("abort", type(exc).__name__, None, str(exc))
-        except InvariantViolation as exc:
-            return Outcome("fail", "InvariantViolation", exc.name, str(exc))
-        except SimulationError as exc:
-            return Outcome("fail", type(exc).__name__, None, str(exc))
-        ref_journal = (tmp / "ref" / "run.journal").read_bytes()
-        ref_trace = reference.trace.snapshot_state()
-        pops_total = reference.runtime.kernel.pops
-
-        # 2. Crash run.
-        crash_dir = tmp / "crash"
-        scheduler, kwargs = engine_args(case, workload, cluster, plan)
-        crashing = SimEngine(
-            cluster, workload.jobs, scheduler, **kwargs, **durability(crash_dir)
-        )
-        mid_write = case.index % 5 == 0
-        if mid_write:
-            def io_fault() -> None:
-                raise SimulatedCrash("injected I/O fault mid-snapshot-write")
-
-            crashing.snapshots.io_fault = io_fault
-            crash_at = f"first snapshot write (pop ~{CRASH_SNAPSHOT_EVERY})"
-        else:
-            at_pop = int(rng.integers(1, pops_total + 1))
-            inject_crash(crashing, at_pop)
-            crash_at = f"pop {at_pop}/{pops_total}"
-        try:
-            crashing.run()
-            return Outcome(
-                "fail", "CrashRecovery", None, "injected crash never fired"
-            )
-        except SimulatedCrash:
-            pass
-        except AttemptBudgetExhausted as exc:
-            return Outcome("abort", type(exc).__name__, None, str(exc))
-
-        # 3. Recover.
-        scheduler, kwargs = engine_args(case, workload, cluster, plan)
-        found = latest_valid_snapshot(crash_dir / "snaps")
-        if found is not None:
-            _, data = found
-            recovered = SimEngine.restore(
-                data,
-                cluster,
-                workload.jobs,
-                scheduler,
-                **kwargs,
-                **durability(crash_dir),
-            )
-        else:
-            # Crash predated the first durable snapshot: recovery is a
-            # fresh start; the journal reopens truncated to nothing.
-            recovered = SimEngine(
-                cluster, workload.jobs, scheduler, **kwargs, **durability(crash_dir)
-            )
-        try:
-            rec_metrics = recovered.run().as_dict()
-        except (AttemptBudgetExhausted, InvariantViolation, SimulationError) as exc:
-            return Outcome(
-                "fail",
-                "CrashRecovery",
-                getattr(exc, "name", None),
-                f"recovered run raised {type(exc).__name__} "
-                f"(crash at {crash_at}): {exc}",
-            )
-
-        # 4. Golden parity.
-        rec_journal = (crash_dir / "run.journal").read_bytes()
-        mismatches = []
-        if rec_metrics != ref_metrics:
-            diff_keys = sorted(
-                key
-                for key in set(ref_metrics) | set(rec_metrics)
-                if ref_metrics.get(key) != rec_metrics.get(key)
-            )
-            mismatches.append(f"metrics differ on {diff_keys[:6]}")
-        if rec_journal != ref_journal:
-            prefix = os.path.commonprefix([rec_journal, ref_journal])
-            mismatches.append(
-                f"journal diverges at byte {len(prefix)} "
-                f"({len(ref_journal)} vs {len(rec_journal)} bytes)"
-            )
-        if recovered.trace.snapshot_state() != ref_trace:
-            mismatches.append("trace segments differ")
-        if mismatches:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            stem = f"crash_case_{case.index:04d}"
-            shutil.copy(tmp / "ref" / "run.journal", out_dir / f"{stem}.ref.journal")
-            shutil.copy(crash_dir / "run.journal", out_dir / f"{stem}.rec.journal")
-            return Outcome(
-                "fail",
-                "CrashRecovery",
-                None,
-                f"crash at {crash_at}: " + "; ".join(mismatches),
-            )
-    return Outcome("ok")
-
-
-def _crash_case_worker(item: tuple[int, int, str]):
-    index, base_seed, out_dir = item
-    case = build_case(index, base_seed)
-    workload, cluster, plan = case_inputs(case)
-    outcome = run_one_crash_case(
-        case, workload, cluster, plan, pathlib.Path(out_dir)
-    )
-    return case, len(plan), outcome
-
-
-def run_crash_soak(
-    runs: int, base_seed: int, out_dir: pathlib.Path, jobs: int = 1
-) -> int:
-    """Crash-recovery sweep over the same case grid as the plain soak
-    (chaos scenarios x policies x resilience on/off)."""
-    failures = 0
-    aborts = 0
-
-    def handle(index: int, fabric) -> None:
-        nonlocal failures, aborts
-        if fabric[0] == "ok":
-            case, plan_len, outcome = fabric[1]
-        else:
-            case = build_case(index, base_seed)
-            plan_len = 0
-            outcome = _failure_outcome(fabric)
-        tag = (
-            f"[{index + 1:3d}/{runs}] {case.scenario:>15s} x {case.policy:<4s} "
-            f"res={'on ' if case.resilient else 'off'} "
-            f"nodes={case.num_nodes} jobs={case.num_jobs} "
-            f"plan={plan_len:3d}ev"
-        )
-        if outcome.status == "ok":
-            print(f"{tag} ok")
-        elif outcome.status == "abort":
-            aborts += 1
-            print(f"{tag} ABORT ({outcome.message})")
-        else:
-            failures += 1
-            print(f"{tag} FAIL {outcome.error_type}: {outcome.message}")
-            if fabric[0] == "ok" and outcome.error_type != "CrashRecovery":
-                minimal = minimize_case(case, outcome)
-                path = write_artifact(
-                    out_dir, case, outcome, minimal, mode="crash-recovery"
-                )
-                print(f"      repro written to {path}")
-            else:
-                path = write_artifact(
-                    out_dir, case, outcome, [], mode="crash-recovery"
-                )
-                print(f"      journals + repro written to {path.parent}")
-
-    reporter = OrderedReporter(handle)
-    parallel_map(
-        _crash_case_worker,
-        [(index, base_seed, str(out_dir)) for index in range(runs)],
-        jobs=jobs,
-        on_complete=reporter.add,
-    )
-    print(
-        f"crash-recovery soak: {runs} runs, {failures} failures, "
-        f"{aborts} aborts (seed={base_seed})"
-    )
-    return 1 if failures else 0
-
-
-# ------------------------------------------------------------ elastic soak
-
-#: Drain pacing for elastic soak cases: small steps so the DRAINING
-#: window spans many kernel events (the crash leg aims inside it), a
-#: floor of 2 members so scripted drains never strand the workload.
-SOAK_ELASTIC = ElasticConfig(min_nodes=2, drain_step=5.0, drain_timeout=1200.0)
-
-#: Horizon membership churn is drawn over — inside the soak workloads'
-#: makespans so joins and drains land while work is in flight.
-MEMBERSHIP_HORIZON = 4000.0
-
-
-@dataclass(frozen=True)
-class ElasticCase:
-    """One fully-seeded membership-churn soak configuration."""
-
-    index: int
-    base_seed: int
-    scenario: str
-    policy: str
-    autoscale: bool
-    num_nodes: int
-    num_jobs: int
-    joins: int
-    drains: int
-    #: engine_args() compatibility — elastic cases always run resilient
-    #: (drains interleave retries/speculation, the interesting regime).
-    resilient: bool = True
-
-    def describe(self) -> dict:
-        return {
-            "index": self.index,
-            "base_seed": self.base_seed,
-            "scenario": self.scenario,
-            "policy": self.policy,
-            "autoscale": self.autoscale,
-            "num_nodes": self.num_nodes,
-            "num_jobs": self.num_jobs,
-            "joins": self.joins,
-            "drains": self.drains,
-        }
-
-
-def build_elastic_case(index: int, base_seed: int) -> ElasticCase:
-    """Deterministic elastic case: chaos scenarios x policies x autoscale
-    on/off x churn shapes, cycling at coprime periods like the plain grid."""
-    return ElasticCase(
-        index=index,
-        base_seed=base_seed,
-        scenario=SCENARIO_NAMES[index % len(SCENARIO_NAMES)],
-        policy=POLICY_NAMES[index % len(POLICY_NAMES)],
-        autoscale=index % 2 == 1,
-        num_nodes=4 + 2 * (index % 3),
-        num_jobs=2 + index % 2,
-        joins=1 + index % 2,
-        drains=1 + (index // 2) % 2,
-    )
-
-
-def elastic_case_config(case: ElasticCase) -> ElasticConfig:
-    """The :class:`ElasticConfig` for *case* (autoscaler knobs tuned so
-    chaos bursts exercise hysteresis without flapping the fleet)."""
-    cfg = SOAK_ELASTIC
-    if case.autoscale:
-        cfg = cfg.replace(
-            autoscale=True,
-            check_period=30.0,
-            scale_up_queue_depth=6.0,
-            scale_up_sustain=120.0,
-            scale_down_idle_nodes=2,
-            scale_down_sustain=600.0,
-            cooldown=240.0,
-            max_nodes=case.num_nodes + 4,
-        )
-    return cfg
-
-
-def run_one_elastic_case(case: ElasticCase, out_dir: pathlib.Path) -> Outcome:
-    """One membership-churn soak case with a mid-drain kill-and-resume leg.
-
-    1. Run the case — scripted join/drain churn plus (odd indices) the
-       autoscaler, composed with the chaos scenario — uninterrupted with
-       strict invariants, journal and rotated snapshots.  Record the
-       event-pop window of every completed or aborted drain.
-    2. Contract check: under a checkpoint-retaining policy (the default
-       ``checkpoint_interval=0`` checkpoints continuously) a graceful
-       drain must lose **zero** MI; fault losses stay on their own
-       meter.  (srpt is the paper's checkpointless baseline, so its
-       drain migrations legitimately restart from zero.)
-    3. Crash leg: re-run and kill at a seeded pop *inside a drain
-       window* when one exists (anywhere otherwise), recover from the
-       latest valid snapshot, and golden-compare journal bytes and
-       ``RunMetrics`` against the uninterrupted run.
-    """
-    rng = np.random.default_rng([case.base_seed, case.index, 0xE1A5])
-    workload, cluster, plan = case_inputs(case)
-    _, probe_kwargs = engine_args(case, workload, cluster, plan)
-    checkpointing = probe_kwargs["preemption"].uses_checkpointing
-    membership = random_membership_plan(
-        cluster,
-        MEMBERSHIP_HORIZON,
-        rng=np.random.default_rng([case.base_seed, case.index, 0xE7A5]),
-        joins=case.joins,
-        drains=case.drains,
-    )
-    with tempfile.TemporaryDirectory() as tmp_str:
-        tmp = pathlib.Path(tmp_str)
-
-        def durability(root: pathlib.Path) -> dict:
-            return dict(
-                journal=root / "run.journal",
-                snapshots=SnapshotConfig(
-                    directory=str(root / "snaps"),
-                    every_events=CRASH_SNAPSHOT_EVERY,
-                ),
-            )
-
-        def build(root: pathlib.Path) -> SimEngine:
-            scheduler, kwargs = engine_args(case, workload, cluster, plan)
-            kwargs.update(
-                membership=membership, elastic=elastic_case_config(case)
-            )
-            return SimEngine(
-                cluster, workload.jobs, scheduler, **kwargs, **durability(root)
-            )
-
-        # 1. Uninterrupted reference, recording drain windows as pop spans.
-        reference = build(tmp / "ref")
-        windows: list[tuple[int, int]] = []
-        opened: dict[str, int] = {}
-
-        def _drain_open(ev) -> None:
-            opened[ev.node_id] = reference.runtime.kernel.pops
-
-        def _drain_close(ev) -> None:
-            start = opened.pop(ev.node_id, None)
-            pops = reference.runtime.kernel.pops
-            if start is not None and pops > start + 1:
-                windows.append((start, pops))
-
-        reference.runtime.bus.subscribe(NodeDraining, _drain_open)
-        reference.runtime.bus.subscribe(
-            (NodeDecommissioned, DrainAborted), _drain_close
-        )
-        try:
-            ref_metrics = reference.run().as_dict()
-        except AttemptBudgetExhausted as exc:
-            return Outcome("abort", type(exc).__name__, None, str(exc))
-        except InvariantViolation as exc:
-            return Outcome("fail", "InvariantViolation", exc.name, str(exc))
-        except SimulationError as exc:
-            return Outcome("fail", type(exc).__name__, None, str(exc))
-        ref_journal = (tmp / "ref" / "run.journal").read_bytes()
-        pops_total = reference.runtime.kernel.pops
-
-        # 2. Drain-loss contract.
-        drain_lost = ref_metrics.get("drain_lost_mi", 0.0)
-        if checkpointing and drain_lost > 0.0:
-            _write_elastic_artifact(
-                out_dir,
-                case,
-                membership,
-                {
-                    "problems": [
-                        f"graceful drain lost {drain_lost} MI under a "
-                        f"checkpoint-retaining policy ({case.policy})"
-                    ],
-                    "metrics": ref_metrics,
-                },
-            )
-            return Outcome(
-                "fail",
-                "DrainLoss",
-                None,
-                f"{drain_lost} MI lost to drain under {case.policy}",
-            )
-
-        # 3. Mid-drain kill and resume, golden-compared.
-        if windows:
-            start, end = windows[int(rng.integers(0, len(windows)))]
-            at_pop = int(rng.integers(start + 1, end + 1))
-            crash_at = f"pop {at_pop} (drain window {start}-{end})"
-        else:
-            at_pop = int(rng.integers(1, pops_total + 1))
-            crash_at = f"pop {at_pop}/{pops_total}"
-        crash_dir = tmp / "crash"
-        crashing = build(crash_dir)
-        inject_crash(crashing, at_pop)
-        try:
-            crashing.run()
-            return Outcome(
-                "fail", "CrashRecovery", None, "injected crash never fired"
-            )
-        except SimulatedCrash:
-            pass
-        except AttemptBudgetExhausted as exc:
-            return Outcome("abort", type(exc).__name__, None, str(exc))
-
-        scheduler, kwargs = engine_args(case, workload, cluster, plan)
-        kwargs.update(membership=membership, elastic=elastic_case_config(case))
-        found = latest_valid_snapshot(crash_dir / "snaps")
-        if found is not None:
-            _, data = found
-            recovered = SimEngine.restore(
-                data,
-                cluster,
-                workload.jobs,
-                scheduler,
-                **kwargs,
-                **durability(crash_dir),
-            )
-        else:
-            # Crash predated the first snapshot: recovery restarts.
-            recovered = SimEngine(
-                cluster, workload.jobs, scheduler, **kwargs, **durability(crash_dir)
-            )
-        try:
-            rec_metrics = recovered.run().as_dict()
-        except (AttemptBudgetExhausted, InvariantViolation, SimulationError) as exc:
-            return Outcome(
-                "fail",
-                "CrashRecovery",
-                getattr(exc, "name", None),
-                f"recovered run raised {type(exc).__name__} "
-                f"(crash at {crash_at}): {exc}",
-            )
-
-        rec_journal = (crash_dir / "run.journal").read_bytes()
-        mismatches = []
-        if rec_metrics != ref_metrics:
-            diff_keys = sorted(
-                key
-                for key in set(ref_metrics) | set(rec_metrics)
-                if ref_metrics.get(key) != rec_metrics.get(key)
-            )
-            mismatches.append(f"metrics differ on {diff_keys[:6]}")
-        if rec_journal != ref_journal:
-            prefix = os.path.commonprefix([rec_journal, ref_journal])
-            mismatches.append(
-                f"journal diverges at byte {len(prefix)} "
-                f"({len(ref_journal)} vs {len(rec_journal)} bytes)"
-            )
-        if mismatches:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            stem = f"elastic_case_{case.index:04d}"
-            shutil.copy(
-                tmp / "ref" / "run.journal", out_dir / f"{stem}.ref.journal"
-            )
-            shutil.copy(
-                crash_dir / "run.journal", out_dir / f"{stem}.rec.journal"
-            )
-            _write_elastic_artifact(
-                out_dir,
-                case,
-                membership,
-                {"crash_at": crash_at, "mismatches": mismatches},
-            )
-            return Outcome(
-                "fail",
-                "CrashRecovery",
-                None,
-                f"crash at {crash_at}: " + "; ".join(mismatches),
-            )
-        return Outcome(
-            "ok",
-            message=(
-                f"joined={ref_metrics.get('nodes_joined', 0):g} "
-                f"decom={ref_metrics.get('nodes_decommissioned', 0):g} "
-                f"aborts={ref_metrics.get('drain_aborts', 0):g} "
-                f"kill@{at_pop}{'*' if windows else ''}"
-            ),
-        )
-
-
-def _write_elastic_artifact(
-    out_dir: pathlib.Path, case: ElasticCase, membership, detail: dict
-) -> pathlib.Path:
-    """JSON repro artifact carrying the case and its membership plan."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"elastic_case_{case.index:04d}.json"
-    artifact = {
-        "case": case.describe(),
-        "membership_plan": membership_plan_to_json(membership),
-        **detail,
-        "run_key": soak_run_key("elastic", case.base_seed, case.index).to_dict(),
-        "rerun": _rerun_hint(path),
-    }
-    path.write_text(json.dumps(artifact, indent=2) + "\n")
-    return path
-
-
-def _elastic_case_worker(item: tuple[int, int, str]):
-    index, base_seed, out_dir = item
-    case = build_elastic_case(index, base_seed)
-    outcome = run_one_elastic_case(case, pathlib.Path(out_dir))
-    return case, outcome
-
-
-def run_elastic_soak(
-    runs: int, base_seed: int, out_dir: pathlib.Path, jobs: int = 1
-) -> int:
-    """Membership-churn sweep: chaos x policies x autoscale on/off, each
-    case drain-loss-checked and killed/resumed mid-drain."""
-    failures = 0
-    aborts = 0
-
-    def handle(index: int, fabric) -> None:
-        nonlocal failures, aborts
-        if fabric[0] == "ok":
-            case, outcome = fabric[1]
-        else:
-            case = build_elastic_case(index, base_seed)
-            outcome = _failure_outcome(fabric)
-        tag = (
-            f"[{index + 1:3d}/{runs}] {case.scenario:>15s} x {case.policy:<4s} "
-            f"auto={'on ' if case.autoscale else 'off'} "
-            f"nodes={case.num_nodes} jobs={case.num_jobs} "
-            f"churn={case.joins}+{case.drains}"
-        )
-        if outcome.status == "ok":
-            print(f"{tag} ok ({outcome.message})")
-        elif outcome.status == "abort":
-            aborts += 1
-            print(f"{tag} ABORT ({outcome.message})")
-        else:
-            failures += 1
-            print(f"{tag} FAIL {outcome.error_type}: {outcome.message}")
-            print(f"      artifact written to {out_dir}")
-
-    reporter = OrderedReporter(handle)
-    parallel_map(
-        _elastic_case_worker,
-        [(index, base_seed, str(out_dir)) for index in range(runs)],
-        jobs=jobs,
-        on_complete=reporter.add,
-    )
-    print(
-        f"elastic soak: {runs} runs, {failures} failures, {aborts} aborts "
-        f"(seed={base_seed})"
-    )
-    return 1 if failures else 0
-
-
-# -------------------------------------------------------- replay kill soak
-
-
-@dataclass(frozen=True)
-class ReplayCase:
-    """One fully-seeded streaming-replay kill-and-resume configuration."""
-
-    index: int
-    base_seed: int
-    num_jobs: int
-    num_nodes: int
-    max_live_tasks: int
-    admit_batch: int
-    pump_pops: int
-    retire_batch: int
-
-    def describe(self) -> dict:
-        return {
-            "index": self.index,
-            "base_seed": self.base_seed,
-            "num_jobs": self.num_jobs,
-            "num_nodes": self.num_nodes,
-            "max_live_tasks": self.max_live_tasks,
-            "admit_batch": self.admit_batch,
-            "pump_pops": self.pump_pops,
-            "retire_batch": self.retire_batch,
-        }
-
-
-def build_replay_case(index: int, base_seed: int) -> ReplayCase:
-    """Deterministic replay case: window/batch/slice axes cycle at coprime
-    periods (3, 4, 5, 2) so 60 consecutive indices cover every combination
-    — slice sizes deliberately misalign with the snapshot cadence so
-    snapshots land mid-slice (the hard resume case)."""
-    return ReplayCase(
-        index=index,
-        base_seed=base_seed,
-        num_jobs=6 + 2 * (index % 3),
-        num_nodes=3 + index % 2,
-        max_live_tasks=(40, 80, 150)[index % 3],
-        admit_batch=(1, 2, 4, 8)[index % 4],
-        pump_pops=(32, 64, 96, 128, 256)[index % 5],
-        retire_batch=(1, 3)[index % 2],
-    )
-
-
-def _replay_build(
-    case: ReplayCase, cluster, spec, root: pathlib.Path, *, snapshots: bool
-):
-    """Fresh (engine, frontier) pair reconstructing *case*'s replay —
-    called once per leg because schedulers and sources carry state."""
-    sim = SimConfig(
-        invariants="strict",
-        retire_completed=True,
-        retire_batch=case.retire_batch,
-    )
-    engine = SimEngine(
-        cluster,
-        [],
-        HeuristicScheduler(cluster, DSPConfig()),
-        sim_config=sim,
-        streaming=True,
-        journal=root / "run.journal",
-        snapshots=(
-            SnapshotConfig(
-                directory=str(root / "snaps"),
-                every_events=CRASH_SNAPSHOT_EVERY,
-            )
-            if snapshots
-            else None
-        ),
-    )
-    frontier = StreamingFrontier(
-        engine,
-        SyntheticSource(spec, seed=case.base_seed * 1021 + case.index),
-        FrontierConfig(
-            max_live_tasks=case.max_live_tasks,
-            admit_batch=case.admit_batch,
-            pump_pops=case.pump_pops,
-        ),
-    )
-    return engine, frontier
-
-
-def run_one_replay_case(case: ReplayCase, out_dir: pathlib.Path) -> Outcome:
-    """Golden kill-and-resume parity for one streaming replay.
-
-    1. Reference frontier replay (journal, no snapshots) → journal bytes
-       and ``RunMetrics``.
-    2. Same replay with rotated snapshots, killed at a seeded random
-       event pop — usually mid-pump-slice, so resume must also restore
-       the admission loop's position, not just the engine.
-    3. Recover from the latest valid snapshot: the live window comes
-       from the snapshot's ``jobs_spec``, the source seeks via its
-       cursor, the frontier restores its counters and in-flight slice.
-    4. The resumed journal and metrics must match byte-for-byte — with
-       the watchdog off, a replay is a pure function of (source, config).
-    """
-    rng = np.random.default_rng([case.base_seed, case.index, 0xF40])
-    cluster = uniform_cluster(case.num_nodes)
-    spec = workload_spec_for_cluster(case.num_jobs, cluster, scale=60.0)
-    with tempfile.TemporaryDirectory() as tmp_str:
-        tmp = pathlib.Path(tmp_str)
-
-        # 1. Uninterrupted reference.
-        (tmp / "ref").mkdir()
-        engine, frontier = _replay_build(
-            case, cluster, spec, tmp / "ref", snapshots=False
-        )
-        try:
-            ref_metrics = frontier.run().as_dict()
-        except (InvariantViolation, SimulationError) as exc:
-            return Outcome(
-                "fail",
-                type(exc).__name__,
-                getattr(exc, "name", None),
-                str(exc),
-            )
-        engine.journal.close()
-        ref_journal = (tmp / "ref" / "run.journal").read_bytes()
-        pops_total = engine.runtime.kernel.pops
-
-        # 2. Kill mid-stream.
-        crash_dir = tmp / "crash"
-        crash_dir.mkdir()
-        engine, frontier = _replay_build(
-            case, cluster, spec, crash_dir, snapshots=True
-        )
-        at_pop = int(rng.integers(1, pops_total + 1))
-        inject_crash(engine, at_pop)
-        try:
-            frontier.run()
-            return Outcome(
-                "fail", "CrashRecovery", None, "injected crash never fired"
-            )
-        except SimulatedCrash:
-            pass
-        crash_at = f"pop {at_pop}/{pops_total}"
-
-        # 3. Recover.
-        found = latest_valid_snapshot(crash_dir / "snaps")
-        if found is not None:
-            _, data = found
-            sim = SimConfig(
-                invariants="strict",
-                retire_completed=True,
-                retire_batch=case.retire_batch,
-            )
-            recovered = SimEngine.restore(
-                data,
-                cluster,
-                [],
-                HeuristicScheduler(cluster, DSPConfig()),
-                sim_config=sim,
-                streaming=True,
-                journal=crash_dir / "run.journal",
-                snapshots=SnapshotConfig(
-                    directory=str(crash_dir / "snaps"),
-                    every_events=CRASH_SNAPSHOT_EVERY,
-                ),
-            )
-            resumed = StreamingFrontier(
-                recovered,
-                SyntheticSource(spec, seed=case.base_seed * 1021 + case.index),
-                FrontierConfig(
-                    max_live_tasks=case.max_live_tasks,
-                    admit_batch=case.admit_batch,
-                    pump_pops=case.pump_pops,
-                ),
-            )
-            resumed.restore_state(data.get("frontier"))
-        else:
-            # Crash predated the first snapshot: recovery restarts.
-            recovered, resumed = _replay_build(
-                case, cluster, spec, crash_dir, snapshots=True
-            )
-        try:
-            rec_metrics = resumed.run().as_dict()
-        except (InvariantViolation, SimulationError) as exc:
-            return Outcome(
-                "fail",
-                "CrashRecovery",
-                getattr(exc, "name", None),
-                f"resumed replay raised {type(exc).__name__} "
-                f"(kill at {crash_at}): {exc}",
-            )
-        recovered.journal.close()
-
-        # 4. Golden parity.
-        rec_journal = (crash_dir / "run.journal").read_bytes()
-        mismatches = []
-        if rec_metrics != ref_metrics:
-            diff_keys = sorted(
-                key
-                for key in set(ref_metrics) | set(rec_metrics)
-                if ref_metrics.get(key) != rec_metrics.get(key)
-            )
-            mismatches.append(f"metrics differ on {diff_keys[:6]}")
-        if rec_journal != ref_journal:
-            prefix = os.path.commonprefix([rec_journal, ref_journal])
-            mismatches.append(
-                f"journal diverges at byte {len(prefix)} "
-                f"({len(ref_journal)} vs {len(rec_journal)} bytes)"
-            )
-        if mismatches:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            stem = f"replay_case_{case.index:04d}"
-            shutil.copy(
-                tmp / "ref" / "run.journal", out_dir / f"{stem}.ref.journal"
-            )
-            shutil.copy(
-                crash_dir / "run.journal", out_dir / f"{stem}.rec.journal"
-            )
-            (out_dir / f"{stem}.json").write_text(
-                json.dumps(
-                    {
-                        "case": case.describe(),
-                        "crash_at": crash_at,
-                        "mismatches": mismatches,
-                        "run_key": soak_run_key(
-                            "replay", case.base_seed, case.index
-                        ).to_dict(),
-                        "rerun": _rerun_hint(out_dir / f"{stem}.json"),
-                    },
-                    indent=2,
-                )
-                + "\n"
-            )
-            return Outcome(
-                "fail",
-                "CrashRecovery",
-                None,
-                f"kill at {crash_at}: " + "; ".join(mismatches),
-            )
-    return Outcome("ok")
-
-
-def _replay_case_worker(item: tuple[int, int, str]):
-    index, base_seed, out_dir = item
-    case = build_replay_case(index, base_seed)
-    outcome = run_one_replay_case(case, pathlib.Path(out_dir))
-    return case, outcome
-
-
-def run_replay_soak(
-    runs: int, base_seed: int, out_dir: pathlib.Path, jobs: int = 1
-) -> int:
-    """Streaming-replay kill sweep over window/batch/slice combinations."""
-    failures = 0
-
-    def handle(index: int, fabric) -> None:
-        nonlocal failures
-        if fabric[0] == "ok":
-            case, outcome = fabric[1]
-        else:
-            case = build_replay_case(index, base_seed)
-            outcome = _failure_outcome(fabric)
-        tag = (
-            f"[{index + 1:3d}/{runs}] jobs={case.num_jobs} "
-            f"nodes={case.num_nodes} window={case.max_live_tasks:3d} "
-            f"admit={case.admit_batch} pump={case.pump_pops:3d} "
-            f"retire={case.retire_batch}"
-        )
-        if outcome.status == "ok":
-            print(f"{tag} ok")
-        else:
-            failures += 1
-            print(f"{tag} FAIL {outcome.error_type}: {outcome.message}")
-            print(f"      journals + repro written to {out_dir}")
-
-    reporter = OrderedReporter(handle)
-    parallel_map(
-        _replay_case_worker,
-        [(index, base_seed, str(out_dir)) for index in range(runs)],
-        jobs=jobs,
-        on_complete=reporter.add,
-    )
-    print(
-        f"replay kill soak: {runs} runs, {failures} failures "
-        f"(seed={base_seed})"
-    )
-    return 1 if failures else 0
-
-
-# ------------------------------------------------------------- service soak
-
-#: Chaos mixes for service cases, rescaled to the service workloads'
-#: busy window (task runtimes of tens of sim-seconds, makespans of a few
-#: hundred) so injected faults actually land while work is in flight.
-SERVICE_SCENARIOS: dict[str, ChaosConfig] = {
-    "none": ChaosConfig(),
-    "correlated": ChaosConfig(domains=2, domain_mtbf=250.0, domain_mttr=20.0),
-    "straggler_wave": ChaosConfig(
-        wave_every=90.0, wave_fraction=0.4, wave_duration=30.0, wave_factor=0.3
-    ),
-    "task_fail_storm": ChaosConfig(
-        storm_every=100.0, storm_duration=30.0, storm_task_fails=3.0
-    ),
-    "partitions": ChaosConfig(partition_mtbf=250.0, partition_duration=15.0),
-}
-SERVICE_SCENARIO_NAMES = tuple(SERVICE_SCENARIOS)
-SERVICE_TENANTS = (("ads", 4.0), ("etl", 2.0), ("adhoc", 1.0))
-SERVICE_FAULT_HORIZON = 400.0
-
-
-@dataclass(frozen=True)
-class ServiceCase:
-    """One fully-seeded service soak configuration."""
-
-    index: int
-    base_seed: int
-    scenario: str
-    num_nodes: int
-    num_clients: int
-    admission_per_cycle: int
-    pump_events: int
-
-    def describe(self) -> dict:
-        return {
-            "index": self.index,
-            "base_seed": self.base_seed,
-            "scenario": self.scenario,
-            "num_nodes": self.num_nodes,
-            "num_clients": self.num_clients,
-            "admission_per_cycle": self.admission_per_cycle,
-            "pump_events": self.pump_events,
-        }
-
-
-def build_service_case(index: int, base_seed: int) -> ServiceCase:
-    """Deterministic service case: axes cycle at coprime periods (5, 3, 4)
-    so 60 consecutive indices cover every combination."""
-    return ServiceCase(
-        index=index,
-        base_seed=base_seed,
-        scenario=SERVICE_SCENARIO_NAMES[index % len(SERVICE_SCENARIO_NAMES)],
-        num_nodes=4 + 2 * (index % 3),
-        num_clients=24 + 12 * (index % 4),
-        admission_per_cycle=(4, 8, 16, 32)[index % 4],
-        pump_events=(64, 128, 256)[index % 3],
-    )
-
-
-def service_job_spec(rng, job_id: str) -> dict:
-    """A seeded random job: a short chain with occasional extra fan-in
-    edges, sized so tasks run tens of sim-seconds (chaos can land on them)."""
-    ntasks = int(rng.integers(1, 5))
-    tasks = []
-    for t in range(ntasks):
-        parents = [f"t{t - 1}"] if t else []
-        if t >= 2 and rng.random() < 0.3:
-            parents.append(f"t{t - 2}")
-        tasks.append(
-            {
-                "task_id": f"t{t}",
-                "size_mi": float(rng.uniform(2000.0, 8000.0)),
-                "demand": {
-                    "cpu": float(rng.uniform(0.5, 1.5)),
-                    "mem": float(rng.uniform(0.5, 1.5)),
-                },
-                "parents": parents,
-            }
-        )
-    return {"job_id": job_id, "deadline": 1e6, "tasks": tasks}
-
-
-async def _drive_service_case(
-    case: ServiceCase, core: ServiceCore, rng
-) -> tuple[list[str], dict]:
-    """Start the frontend, run the client fleet, drain; returns the
-    terminal reply status per client and the final stats body."""
-    frontend = ServiceFrontend(core)
-    address = await frontend.start(f"inproc://soak-service-{case.index}")
-    specs = [
-        (
-            SERVICE_TENANTS[i % len(SERVICE_TENANTS)][0],
-            service_job_spec(rng, f"job{i}"),
-        )
-        for i in range(case.num_clients)
-    ]
-
-    async def one_client(tenant: str, spec: dict) -> str:
-        async with await ServiceClient.connect(address) as client:
-            for _attempt in range(300):
-                r = await client.submit_job(tenant, spec)
-                if r["status"] == "retry":
-                    await asyncio.sleep(0.001 * r.get("retry_after", 1.0))
-                    continue
-                return r["status"]
-            return "gave-up"
-
-    probing = True
-
-    async def prober() -> int:
-        answered = 0
-        async with await ServiceClient.connect(address) as probe:
-            while probing:
-                st = await probe.status()
-                assert st["status"] == "ok"
-                answered += 1
-                await asyncio.sleep(0.005)
-        return answered
-
-    probe_task = asyncio.ensure_future(prober())
-    outcomes = await asyncio.gather(
-        *[one_client(tenant, spec) for tenant, spec in specs]
-    )
-    probing = False
-    await probe_task
-    stats = await frontend.drain_and_stop()
-    return list(outcomes), stats
-
-
-def run_one_service_case(
-    case: ServiceCase, out_dir: pathlib.Path
-) -> Outcome:
-    """One service soak case: chaos-injected streaming engine behind the
-    inproc frontend, a concurrent client fleet, then the contract checks."""
-    rng = np.random.default_rng([case.base_seed, case.index, 0x5E4C])
-    cluster = uniform_cluster(case.num_nodes)
-    plan = chaos_plan(
-        cluster, SERVICE_FAULT_HORIZON, SERVICE_SCENARIOS[case.scenario], rng=rng
-    )
-    cfg = ServiceConfig(
-        cycle_period=1.0,
-        pump_events=case.pump_events,
-        admission_per_cycle=case.admission_per_cycle,
-        max_total_pending=4 * case.num_clients,
-        request_deadline=0.0,
-        snapshot_every_cycles=8,
-        quotas=tuple(
-            (name, TenantQuota(rate=200.0, burst=100, max_pending=256, share=share))
-            for name, share in SERVICE_TENANTS
-        ),
-    )
-    with tempfile.TemporaryDirectory() as tmp_str:
-        data_dir = pathlib.Path(tmp_str) / "svc"
-        core = ServiceCore(
-            cluster,
-            HeuristicScheduler(cluster, DSPConfig()),
-            cfg,
-            data_dir=data_dir,
-            engine_kwargs=dict(
-                faults=plan,
-                resilience=SOAK_RESILIENCE,
-                sim_config=SimConfig(invariants="strict"),
-            ),
-        )
-        try:
-            outcomes, stats = asyncio.run(_drive_service_case(case, core, rng))
-        except (InvariantViolation, SimulationError, AssertionError) as exc:
-            name = getattr(exc, "name", None)
-            _write_service_artifact(
-                out_dir, case, {"error": f"{type(exc).__name__}: {exc}"}, data_dir
-            )
-            return Outcome("fail", type(exc).__name__, name, str(exc))
-
-        counts = {s: outcomes.count(s) for s in sorted(set(outcomes))}
-        engine = stats["engine"]
-        problems = []
-        if len(outcomes) != case.num_clients:
-            problems.append(
-                f"{case.num_clients - len(outcomes)} clients never answered"
-            )
-        if counts.get("gave-up"):
-            problems.append(f"{counts['gave-up']} clients gave up retrying")
-        acked = counts.get("ok", 0)
-        if engine["jobs"] != acked:
-            problems.append(
-                f"acknowledged-job loss: {acked} acked but engine holds "
-                f"{engine['jobs']} jobs"
-            )
-        if engine["tasks_done"] != engine["tasks_total"]:
-            problems.append(
-                f"drain left {engine['tasks_total'] - engine['tasks_done']} "
-                "tasks unfinished"
-            )
-        if problems:
-            _write_service_artifact(
-                out_dir,
-                case,
-                {"problems": problems, "replies": counts, "stats": stats},
-                data_dir,
-            )
-            return Outcome("fail", "ServiceContract", None, "; ".join(problems))
-        return Outcome(
-            "ok", message=f"{acked} acked / {counts.get('shed', 0)} shed"
-        )
-
-
-def _write_service_artifact(
-    out_dir: pathlib.Path, case: ServiceCase, detail: dict, data_dir: pathlib.Path
-) -> pathlib.Path:
-    """JSON artifact plus the engine/admission journals for post-mortem."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"service_case_{case.index:04d}"
-    for journal in ("engine.jsonl", "admissions.jsonl"):
-        src = data_dir / journal
-        if src.exists():
-            shutil.copy(src, out_dir / f"{stem}.{journal}")
-    path = out_dir / f"{stem}.json"
-    artifact = {
-        "case": case.describe(),
-        **detail,
-        "run_key": soak_run_key("service", case.base_seed, case.index).to_dict(),
-        "rerun": _rerun_hint(path),
-    }
-    path.write_text(json.dumps(artifact, indent=2) + "\n")
-    return path
-
-
-def _service_case_worker(item: tuple[int, int, str]):
-    index, base_seed, out_dir = item
-    case = build_service_case(index, base_seed)
-    outcome = run_one_service_case(case, pathlib.Path(out_dir))
-    return case, outcome
-
-
-def run_service_soak(
-    runs: int, base_seed: int, out_dir: pathlib.Path, jobs: int = 1
-) -> int:
-    """Service-frontend sweep: chaos scenarios x fleet sizes x admission
-    and pump rates, each checked against the zero-acked-loss contract."""
-    failures = 0
-
-    def handle(index: int, fabric) -> None:
-        nonlocal failures
-        if fabric[0] == "ok":
-            case, outcome = fabric[1]
-        else:
-            case = build_service_case(index, base_seed)
-            outcome = _failure_outcome(fabric)
-        tag = (
-            f"[{index + 1:3d}/{runs}] {case.scenario:>15s} "
-            f"nodes={case.num_nodes} clients={case.num_clients} "
-            f"adm={case.admission_per_cycle:2d}/cyc pump={case.pump_events:3d}"
-        )
-        if outcome.status == "ok":
-            print(f"{tag} ok ({outcome.message})")
-        else:
-            failures += 1
-            print(f"{tag} FAIL {outcome.error_type}: {outcome.message}")
-            print(f"      artifact + journals written to {out_dir}")
-
-    reporter = OrderedReporter(handle)
-    parallel_map(
-        _service_case_worker,
-        [(index, base_seed, str(out_dir)) for index in range(runs)],
-        jobs=jobs,
-        on_complete=reporter.add,
-    )
-    print(f"service soak: {runs} runs, {failures} failures (seed={base_seed})")
-    return 1 if failures else 0
-
-
-# ------------------------------------------------------------ minimization
-
-
-def minimize_plan(plan, reproduces, *, max_runs: int = 400):
-    """Removal-only ddmin: shrink *plan* to a (1-minimal up to chunking)
-    sublist for which ``reproduces(candidate)`` still holds.
-
-    ``reproduces`` must accept a candidate event list and return bool; it
-    is responsible for any re-normalization the candidate needs.  Returns
-    *plan* unchanged when the failure does not reproduce on the full plan
-    (non-determinism guard).  ``max_runs`` bounds the number of candidate
-    executions so soak never stalls on a pathological case.
-    """
-    runs = 0
-
-    def check(candidate) -> bool:
-        nonlocal runs
-        if runs >= max_runs:
-            return False
-        runs += 1
-        return reproduces(candidate)
-
-    current = list(plan)
-    if not check(current):
-        return current
-    if check([]):
-        return []
-    n = 2
-    while len(current) >= 2 and runs < max_runs:
-        chunk = math.ceil(len(current) / n)
-        shrunk = False
-        for i in range(0, len(current), chunk):
-            candidate = current[:i] + current[i + chunk :]
-            if len(candidate) < len(current) and check(candidate):
-                current = candidate
-                n = max(2, n - 1)
-                shrunk = True
-                break
-        if not shrunk:
-            if n >= len(current):
-                break
-            n = min(len(current), n * 2)
-    return current
-
-
-def minimize_case(case: SoakCase, failure: Outcome) -> list[FaultEvent]:
-    """Shrink *case*'s fault plan to a minimal plan reproducing *failure*
-    (same exception class, same invariant name)."""
-    workload, cluster, plan = case_inputs(case)
-    signature = failure.signature()
-
-    def reproduces(candidate) -> bool:
-        normalized = normalize_plan(candidate, cluster, keep_alive=False)
-        outcome = execute(case, workload, cluster, normalized)
-        return outcome.status == "fail" and outcome.signature() == signature
-
-    minimal = minimize_plan(plan, reproduces)
-    return normalize_plan(minimal, cluster, keep_alive=False)
-
-
-def _rerun_hint(path: pathlib.Path) -> str:
-    """The one-liner replaying an artifact's case through the fabric."""
-    return f"PYTHONPATH=src python -m repro sweep --only {path}"
-
-
-def write_artifact(
-    out_dir: pathlib.Path,
-    case: SoakCase,
-    failure: Outcome,
-    plan: list[FaultEvent],
-    *,
-    mode: str = "plain",
-) -> pathlib.Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"repro_case_{case.index:04d}.json"
-    artifact = {
-        "case": case.describe(),
-        "error": {
-            "type": failure.error_type,
-            "invariant": failure.invariant,
-            "message": failure.message,
-        },
-        "minimized_plan": plan_to_json(plan),
-        "run_key": soak_run_key(mode, case.base_seed, case.index).to_dict(),
-        "rerun": _rerun_hint(path),
-    }
-    path.write_text(json.dumps(artifact, indent=2) + "\n")
-    return path
-
-
-# -------------------------------------------------------------------- main
-
-
-def _plain_case_worker(item: tuple[int, int]):
-    index, base_seed = item
-    case = build_case(index, base_seed)
-    workload, cluster, plan = case_inputs(case)
-    outcome = execute(case, workload, cluster, plan)
-    return case, len(plan), outcome
-
-
-def run_soak(
-    runs: int, base_seed: int, out_dir: pathlib.Path, jobs: int = 1
-) -> int:
-    failures = 0
-    aborts = 0
-
-    def handle(index: int, fabric) -> None:
-        nonlocal failures, aborts
-        if fabric[0] == "ok":
-            case, plan_len, outcome = fabric[1]
-        else:
-            # Worker crash/interrupt: no simulator outcome to classify.
-            case = build_case(index, base_seed)
-            plan_len = 0
-            outcome = _failure_outcome(fabric)
-        tag = (
-            f"[{index + 1:3d}/{runs}] {case.scenario:>15s} x {case.policy:<4s} "
-            f"res={'on ' if case.resilient else 'off'} "
-            f"nodes={case.num_nodes} jobs={case.num_jobs} "
-            f"plan={plan_len:3d}ev"
-        )
-        if outcome.status == "ok":
-            print(f"{tag} ok")
-            return
-        if outcome.status == "abort":
-            aborts += 1
-            print(f"{tag} ABORT ({outcome.message})")
-            return
-        failures += 1
-        print(f"{tag} FAIL {outcome.error_type} ({outcome.invariant})")
-        if fabric[0] == "ok":
-            # ddmin runs in the parent, in case order, while other
-            # workers keep draining the grid.
-            minimal = minimize_case(case, outcome)
-            path = write_artifact(out_dir, case, outcome, minimal)
-            print(
-                f"      minimized {plan_len} -> {len(minimal)} events; "
-                f"repro written to {path}"
-            )
-        else:
-            path = write_artifact(out_dir, case, outcome, [])
-            print(f"      worker died; repro written to {path}")
-
-    reporter = OrderedReporter(handle)
-    parallel_map(
-        _plain_case_worker,
-        [(index, base_seed) for index in range(runs)],
-        jobs=jobs,
-        on_complete=reporter.add,
-    )
-    print(
-        f"soak: {runs} runs, {failures} failures, {aborts} aborts "
-        f"(seed={base_seed})"
-    )
-    return 1 if failures else 0
+from repro.sweep.soakcases import MODES, run_soak  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--mode",
+        choices=tuple(MODES),
+        default="plain",
+        help="which soak to run (default plain)",
+    )
     parser.add_argument("--runs", type=int, default=50, help="number of cases")
     parser.add_argument("--seed", type=int, default=0, help="base seed")
     parser.add_argument(
@@ -1452,70 +56,14 @@ def main(argv: list[str] | None = None) -> int:
         "--out",
         type=pathlib.Path,
         default=pathlib.Path("soak_failures"),
-        help="directory for repro artifacts",
-    )
-    parser.add_argument(
-        "--crash-recovery",
-        action="store_true",
-        help=(
-            "kill-and-resume mode: every case is run uninterrupted, "
-            "crashed at a seeded random event (or mid-snapshot-write), "
-            "recovered from the latest valid snapshot + journal, and "
-            "golden-compared byte-for-byte against the uninterrupted run"
-        ),
-    )
-    parser.add_argument(
-        "--service",
-        action="store_true",
-        help=(
-            "service mode: each case starts an inproc service frontend "
-            "over a chaos-injected streaming engine, slams it with "
-            "concurrent multi-tenant clients, and asserts zero "
-            "acknowledged-job loss (artifacts + journals on failure)"
-        ),
-    )
-    parser.add_argument(
-        "--replay",
-        action="store_true",
-        help=(
-            "streaming-replay kill mode: each case runs a bounded-window "
-            "frontier replay uninterrupted, kills it at a seeded random "
-            "event pop (usually mid-pump-slice), resumes from the latest "
-            "snapshot's engine + frontier cursor, and golden-compares "
-            "journal bytes and metrics against the uninterrupted run"
-        ),
-    )
-    parser.add_argument(
-        "--elastic",
-        action="store_true",
-        help=(
-            "membership-churn mode: each case composes a scripted "
-            "join/drain plan (plus, on odd indices, the autoscaler) with "
-            "a chaos scenario under strict invariants, asserts zero MI "
-            "lost to graceful drains under checkpointing policies, then "
-            "kills the run mid-drain and golden-compares the resumed "
-            "journal and metrics byte-for-byte"
-        ),
+        help="directory for failure artifacts",
     )
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be >= 1")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if sum((args.crash_recovery, args.service, args.replay, args.elastic)) > 1:
-        parser.error(
-            "--crash-recovery, --service, --replay and --elastic are "
-            "mutually exclusive"
-        )
-    if args.elastic:
-        return run_elastic_soak(args.runs, args.seed, args.out, jobs=args.jobs)
-    if args.replay:
-        return run_replay_soak(args.runs, args.seed, args.out, jobs=args.jobs)
-    if args.service:
-        return run_service_soak(args.runs, args.seed, args.out, jobs=args.jobs)
-    if args.crash_recovery:
-        return run_crash_soak(args.runs, args.seed, args.out, jobs=args.jobs)
-    return run_soak(args.runs, args.seed, args.out, jobs=args.jobs)
+    return run_soak(args.mode, args.runs, args.seed, args.out, jobs=args.jobs)
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ partitioned node.
 
 The knob-level interface is :class:`repro.config.ChaosConfig` +
 :func:`chaos_plan`; :func:`plan_to_json` / :func:`plan_from_json` round-
-trip plans through the soak harness's repro artifacts
-(``scripts/soak.py``).
+trip plans through the soak harness's failure artifacts
+(:mod:`repro.sweep.soakcases`).
 """
 
 from __future__ import annotations

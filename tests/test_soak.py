@@ -1,29 +1,39 @@
-"""Tests for the soak harness (``scripts/soak.py``): the case grid,
-end-to-end clean cases, the ddmin plan minimizer (a deliberately broken
-policy must shrink to a tiny repro), and the JSON artifact shape."""
+"""Tests for the soak harness (:mod:`repro.sweep.soakcases`, driven by
+``scripts/soak.py``): the case grid, end-to-end clean cases in every
+mode, the ddmin plan minimizer (a deliberately broken policy must shrink
+to a tiny repro), the JSON artifact shape, and the CLI."""
 
+import importlib
 import json
 import pathlib
-import sys
+from dataclasses import asdict
 
 import pytest
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "scripts"))
-
-import soak  # noqa: E402
-from repro.cluster import uniform_cluster  # noqa: E402
-from repro.config import SimConfig  # noqa: E402
-from repro.core import HeuristicScheduler  # noqa: E402
-from repro.sim import (  # noqa: E402
+from repro.cluster import uniform_cluster
+from repro.config import SimConfig
+from repro.core import HeuristicScheduler
+from repro.sim import (
     FaultEvent,
     FaultKind,
     InvariantViolation,
     SimEngine,
     chaos_plan,
     normalize_plan,
+    plan_to_json,
     validate_fault_plan,
 )
-from tests.test_invariants import C2Violator, chain_job, one_lane  # noqa: E402
+from repro.sweep import RunKey
+from repro.sweep import soakcases as soak
+from tests.test_invariants import C2Violator, chain_job, one_lane
+
+
+@pytest.fixture
+def soak_cli(monkeypatch):
+    """The ``scripts/soak.py`` module, imported from the scripts dir."""
+    scripts = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+    monkeypatch.syspath_prepend(str(scripts))
+    return importlib.import_module("soak")
 
 
 class TestCaseGrid:
@@ -121,7 +131,8 @@ class TestArtifact:
                                "c2-dependency-preemption", "boom")
         cluster = uniform_cluster(case.num_nodes)
         plan = chaos_plan(cluster, 5000.0, soak.SCENARIOS["partitions"], rng=1)
-        path = soak.write_artifact(tmp_path, case, failure, plan)
+        record = {"case": asdict(case), "minimized_plan": plan_to_json(plan)}
+        path = soak.write_artifact(tmp_path, "plain", record, failure)
         artifact = json.loads(path.read_text())
         assert artifact["case"]["index"] == 5
         assert artifact["case"]["scenario"] == case.scenario
@@ -133,6 +144,65 @@ class TestArtifact:
         from repro.sim import plan_from_json
         assert plan_from_json(artifact["minimized_plan"]) == plan
 
+    def test_unfired_crash_writes_a_replayable_artifact(
+        self, tmp_path, monkeypatch
+    ):
+        """A kill that never fires is a failure like any other: it writes
+        the one artifact format, journals included, and the artifact's
+        RunKey replays the case through the fabric runner."""
+        monkeypatch.setattr(soak, "inject_crash", lambda engine, at_pop: None)
+        params = {"mode": "replay", "base_seed": 0, "index": 1}
+        record = soak.run_soak_params({**params, "out": str(tmp_path)})
+        assert record["outcome"]["status"] == "fail"
+        assert record["outcome"]["message"] == "injected crash never fired"
+
+        artifact = json.loads((tmp_path / "replay_case_0001.json").read_text())
+        assert artifact["case"] == record["case"]
+        assert artifact["error"]["message"] == "injected crash never fired"
+        assert artifact["crash_at"] == record["crash_at"]
+        assert "sweep --only" in artifact["rerun"]
+        assert (tmp_path / "replay_case_0001.ref.run.journal").stat().st_size
+        assert (tmp_path / "replay_case_0001.rec.run.journal").exists()
+
+        key = RunKey.make("soak", artifact["run_key"]["params"])
+        assert key.params == params
+        monkeypatch.undo()
+        replayed = soak.run_soak_params(key.params)
+        assert replayed["case"] == record["case"]
+        assert replayed["outcome"]["status"] == "ok"
+
+
+class TestModes:
+    @pytest.mark.parametrize("mode", list(soak.MODES))
+    def test_run_soak_params_every_mode(self, mode):
+        """The fabric's soak runner executes every mode in-library (the
+        RunKey an artifact carries replays its case)."""
+        record = soak.run_soak_params(
+            {"mode": mode, "base_seed": 0, "index": 1}
+        )
+        assert record["outcome"]["status"] == "ok", record["outcome"]
+        assert record["case"]["index"] == 1
+
+    def test_refused_status_probe_is_a_contract_failure(self, monkeypatch):
+        """A non-ok status reply breaks the service contract explicitly
+        (not through an ``assert`` that ``python -O`` would strip)."""
+        from repro.service import ServiceClient
+
+        async def refused(client):
+            return {"status": "error", "error": "probe refused"}
+
+        monkeypatch.setattr(ServiceClient, "status", refused)
+        record = soak.run_soak_params(
+            {"mode": "service", "base_seed": 0, "index": 1}
+        )
+        assert record["outcome"]["error_type"] == "ServiceContract"
+        assert any("status probes answered ['error']" in problem
+                   for problem in record["problems"])
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown soak mode"):
+            soak.run_soak_params({"mode": "bogus", "base_seed": 0, "index": 0})
+
 
 class TestCrashRecoveryMode:
     def test_crash_case_parity(self, tmp_path):
@@ -140,42 +210,44 @@ class TestCrashRecoveryMode:
         reference run, injected crash, snapshot+journal recovery, and
         the byte-for-byte golden comparison."""
         case = soak.build_case(1, 0)  # correlated x fcfs, resilience off
-        workload, cluster, plan = soak.case_inputs(case)
-        outcome = soak.run_one_crash_case(
-            case, workload, cluster, plan, tmp_path
-        )
+        outcome = soak.check_crash(case, tmp_path, {})
         assert outcome.status == "ok", outcome
 
     def test_mid_snapshot_write_case_parity(self, tmp_path):
         """Index % 5 == 0 cases crash via an injected I/O fault mid-
         snapshot-write, so recovery starts from before the torn write."""
         case = soak.build_case(0, 0)
-        workload, cluster, plan = soak.case_inputs(case)
         assert case.index % 5 == 0
-        outcome = soak.run_one_crash_case(
-            case, workload, cluster, plan, tmp_path
-        )
+        record = {}
+        outcome = soak.check_crash(case, tmp_path, record)
         assert outcome.status == "ok", outcome
+        assert record["crash_at"].startswith("first snapshot write")
 
-    def test_cli_flag_wires_crash_mode(self, tmp_path, capsys, monkeypatch):
+    def test_cli_flag_wires_crash_mode(self, soak_cli, monkeypatch):
         calls = {}
 
-        def fake(runs, seed, out, jobs=1):
-            calls["args"] = (runs, seed, out, jobs)
+        def fake(mode, runs, seed, out, jobs=1):
+            calls["args"] = (mode, runs, seed, out, jobs)
             return 0
 
-        monkeypatch.setattr(soak, "run_crash_soak", fake)
-        assert soak.main(["--crash-recovery", "--runs", "3", "--seed", "9"]) == 0
-        assert calls["args"][0] == 3 and calls["args"][1] == 9
-        assert calls["args"][3] == 1  # --jobs defaults to serial
+        monkeypatch.setattr(soak_cli, "run_soak", fake)
+        assert soak_cli.main(
+            ["--mode", "crash-recovery", "--runs", "3", "--seed", "9"]
+        ) == 0
+        assert calls["args"][0] == "crash-recovery"
+        assert calls["args"][1] == 3 and calls["args"][2] == 9
+        assert calls["args"][4] == 1  # --jobs defaults to serial
+        with pytest.raises(SystemExit):
+            soak_cli.main(["--mode", "bogus"])
 
-    def test_cli_jobs_flag_fans_out(self, tmp_path, capsys, monkeypatch):
+    def test_cli_jobs_flag_fans_out(self, soak_cli, monkeypatch):
         calls = {}
 
-        def fake(runs, seed, out, jobs=1):
-            calls["args"] = (runs, seed, out, jobs)
+        def fake(mode, runs, seed, out, jobs=1):
+            calls["args"] = (mode, runs, seed, out, jobs)
             return 0
 
-        monkeypatch.setattr(soak, "run_soak", fake)
-        assert soak.main(["--runs", "4", "--jobs", "2"]) == 0
-        assert calls["args"][0] == 4 and calls["args"][3] == 2
+        monkeypatch.setattr(soak_cli, "run_soak", fake)
+        assert soak_cli.main(["--runs", "4", "--jobs", "2"]) == 0
+        assert calls["args"][0] == "plain"  # --mode defaults to plain
+        assert calls["args"][1] == 4 and calls["args"][4] == 2
