@@ -88,7 +88,7 @@ def _fig8_hot_path(journal_path=None):
 
     *journal_path* enables the write-ahead run journal (the durability
     overhead the guard bounds).  Returns (metrics dict, epoch ticks
-    observed on the bus, wall seconds, view rebuilds, array core).  This
+    observed on the bus, wall seconds, array core).  This
     is the recipe ``scripts/bench_guard.py`` imports — keep it
     deterministic (fixed seed, no warm-up inside).
     """
@@ -116,10 +116,7 @@ def _fig8_hot_path(journal_path=None):
     metrics = engine.run()
     wall = time.perf_counter() - t0
     assert metrics.tasks_completed == workload.num_tasks
-    return (
-        metrics.as_dict(), ticks, wall,
-        engine.runtime.views.rebuilds, engine.runtime.array,
-    )
+    return metrics.as_dict(), ticks, wall, engine.runtime.array
 
 
 def measure_hot_path(rounds: int = 3) -> dict:
@@ -131,19 +128,18 @@ def measure_hot_path(rounds: int = 3) -> dict:
     """
     _fig8_hot_path()  # warm-up: imports, allocator, JIT-ish caches
 
-    metrics = ticks = rebuilds = core = None
+    metrics = ticks = core = None
     walls = []
     for _ in range(rounds):
-        m, t, wall, rb, arr = _fig8_hot_path()
+        m, t, wall, arr = _fig8_hot_path()
         if metrics is None:
-            metrics, ticks, rebuilds, core = m, t, rb, arr
+            metrics, ticks, core = m, t, arr
         else:
             assert m == metrics, "hot path is not deterministic"
             assert t == ticks
         walls.append(wall)
     return {
-        "metrics": metrics, "ticks": ticks, "wall": min(walls),
-        "rebuilds": rebuilds, "core": core,
+        "metrics": metrics, "ticks": ticks, "wall": min(walls), "core": core,
     }
 
 
@@ -184,7 +180,7 @@ def measure_journal_overhead(rounds: int = 6) -> dict:
         for pair in range(rounds):
             order = (("off", None), ("on", journal))
             for name, path in (order if pair % 2 == 0 else order[::-1]):
-                m, t, wall, _rb, _core = _fig8_hot_path(journal_path=path)
+                m, t, wall, _core = _fig8_hot_path(journal_path=path)
                 slot = results[name]
                 if slot["metrics"] is None:
                     slot["metrics"], slot["ticks"] = m, t
@@ -213,13 +209,12 @@ def test_perf_kernel_hot_path_incremental():
     """Epoch ticks per wall-second at fig-8 scale through the array core.
 
     Every round must reproduce the same RunMetrics and tick count, and
-    the view cache and the score cache must actually engage.  Wall-clock
+    the score cache must actually engage.  Wall-clock
     numbers (for the tracked record — the CI floor lives in
     scripts/bench_guard.py, not here, so local noise can't fail the
     suite) are persisted to BENCH_engine.json.
     """
     inc = measure_hot_path(rounds=3)
-    assert inc["rebuilds"] > 0  # the view cache actually engaged
     core = inc["core"]
     assert core.hits > 0  # the score cache paid off
 
@@ -236,7 +231,6 @@ def test_perf_kernel_hot_path_incremental():
             "epoch_ticks": inc["ticks"],
             "wall_s": round(inc["wall"], 4),
             "epoch_ticks_per_s": round(per_s(inc), 2),
-            "view_rebuilds": inc["rebuilds"],
             "index_hits": core.hits,
             "index_misses": core.misses,
             "index_hit_rate": round(core.stats()["hit_rate"], 4),

@@ -164,8 +164,7 @@ class SimConfig:
         When True, the engine attaches a
         :class:`~repro.sim.frontier.RetirementManager` that evicts each
         fully-completed job's state end-to-end — `SimState` maps,
-        ArrayCore rows back onto the dense-id free list, ViewCache
-        entries — folding its per-task metrics into compact aggregates,
+        ArrayCore rows back onto the dense-id free list — folding its per-task metrics into compact aggregates,
         so a streaming replay over millions of tasks holds only the live
         window.  Off by default: batch runs keep full per-task metrics
         and exact legacy float-summation order.

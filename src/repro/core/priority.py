@@ -26,21 +26,20 @@ so the recursion costs O(V + E) per epoch.  It is the *reference*
 implementation, the test oracle for the simulator's vectorized scorer
 (:class:`repro.sim.arraycore.ArrayCore`, which must match it bit for
 bit), and the public stateless API for examples and ablation benches
-(see ``docs/api.md``).  :func:`priorities_for` is its lazy per-subgraph
-form over a caller-owned children map — the path a DSP policy scored with
-non-engine parameters takes over the engine's live structure.
+(see ``docs/api.md``).  :meth:`PriorityEvaluator.compute_for` is its
+lazy per-subgraph form.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .._util import check_non_negative
 from ..config import DSPConfig
 from ..dag.graph import topological_order
 from ..dag.task import Task
 
-__all__ = ["PriorityEvaluator", "leaf_priority", "priorities_for"]
+__all__ = ["PriorityEvaluator", "leaf_priority"]
 
 #: Floor applied to remaining time before taking its reciprocal, so tasks
 #: an instant from completion get a large-but-finite priority boost.
@@ -150,17 +149,50 @@ class PriorityEvaluator:
         allowable_fn: Callable[[str], float],
         completed_fn: Callable[[str], bool],
     ) -> dict[str, float]:
-        """Priorities of just *task_ids*, pulling signals lazily (see
-        :func:`priorities_for`) over this evaluator's children map."""
-        return priorities_for(
-            self._config,
-            task_ids,
-            self._children,
-            remaining_fn=remaining_fn,
-            waiting_fn=waiting_fn,
-            allowable_fn=allowable_fn,
-            completed_fn=completed_fn,
-        )
+        """Priorities of just *task_ids*, pulling signals lazily.
+
+        The Eq. 12 recursion only touches a task's descendants, so
+        scoring one node's queue costs O(descendant subgraph), not
+        O(all tasks).  Children are summed in this evaluator's insertion
+        order, as :meth:`compute` does.
+        """
+        config = self._config
+        children = self._children
+        gamma1 = config.gamma + 1.0
+        memo: dict[str, float] = {}
+
+        def score(tid: str) -> float:
+            cached = memo.get(tid)
+            if cached is not None:
+                return cached
+            # Iterative post-order DFS to avoid recursion limits on deep
+            # DAGs.  The live-children list rides on the expansion frame,
+            # so it is filtered exactly once per visited node (a plain
+            # (node, expanded) flag would rebuild it on the fold visit).
+            stack: list[tuple[str, list[str] | None]] = [(tid, None)]
+            while stack:
+                cur, live = stack.pop()
+                if live is not None:
+                    memo[cur] = gamma1 * sum(memo[c] for c in live)
+                    continue
+                if cur in memo:
+                    continue
+                live = [c for c in children[cur] if not completed_fn(c)]
+                if live:
+                    stack.append((cur, live))
+                    for c in live:
+                        if c not in memo:
+                            stack.append((c, None))
+                else:
+                    memo[cur] = leaf_priority(
+                        config,
+                        remaining_fn(cur),
+                        waiting_fn(cur),
+                        allowable_fn(cur),
+                    )
+            return memo[tid]
+
+        return {tid: score(tid) for tid in task_ids}
 
     def compute_single(
         self,
@@ -174,57 +206,3 @@ class PriorityEvaluator:
         tests and examples, not for hot loops)."""
         return self.compute(remaining, waiting, allowable, completed)[task_id]
 
-
-def priorities_for(
-    config: DSPConfig,
-    task_ids: Iterable[str],
-    children: Mapping[str, Sequence[str]],
-    remaining_fn: Callable[[str], float],
-    waiting_fn: Callable[[str], float],
-    allowable_fn: Callable[[str], float],
-    completed_fn: Callable[[str], bool],
-) -> dict[str, float]:
-    """Eq. 12–13 priorities of just *task_ids*, pulling signals lazily.
-
-    The Eq. 12 recursion only touches a task's descendants, so scoring
-    one node's queue costs O(descendant subgraph), not O(all tasks).
-    *children* maps each task to its direct dependents and is read, never
-    copied, so a live map (the engine's, which grows and shrinks with
-    streaming admission and retirement) stays current; its order is the
-    summation order.
-    """
-    gamma1 = config.gamma + 1.0
-    memo: dict[str, float] = {}
-
-    def score(tid: str) -> float:
-        cached = memo.get(tid)
-        if cached is not None:
-            return cached
-        # Iterative post-order DFS to avoid recursion limits on deep
-        # DAGs.  The live-children list rides on the expansion frame,
-        # so it is filtered exactly once per visited node (a plain
-        # (node, expanded) flag would rebuild it on the fold visit).
-        stack: list[tuple[str, list[str] | None]] = [(tid, None)]
-        while stack:
-            cur, live = stack.pop()
-            if live is not None:
-                memo[cur] = gamma1 * sum(memo[c] for c in live)
-                continue
-            if cur in memo:
-                continue
-            live = [c for c in children[cur] if not completed_fn(c)]
-            if live:
-                stack.append((cur, live))
-                for c in live:
-                    if c not in memo:
-                        stack.append((c, None))
-            else:
-                memo[cur] = leaf_priority(
-                    config,
-                    remaining_fn(cur),
-                    waiting_fn(cur),
-                    allowable_fn(cur),
-                )
-        return memo[tid]
-
-    return {tid: score(tid) for tid in task_ids}

@@ -14,9 +14,12 @@ loops against it:
   Python loops over runtime objects, and Algorithm 1's victim-scan
   signals are derived for every row once per generation (off the
   scoring pass's allowable column), so each further contended node of
-  an epoch sweep costs one gather;
+  an epoch sweep costs one gather — DSP's Algorithm 1
+  (:func:`~repro.core.preemption.algorithm1`) decides off these values
+  and the scores alone;
 * **view assembly** — :class:`~repro.sim.views.ViewCache` computes every
-  ``TaskView`` signal for a node in one vectorized shot.
+  ``TaskView`` signal of the baselines' snapshots for a node in one
+  vectorized shot.
 
 Node stamps
 -----------
@@ -31,13 +34,12 @@ The dispatcher's no-op memo (see
 
 Consistency model
 -----------------
-The mirror is a first-class bus subscriber, attached directly after the
-view cache.  Every task-bearing event re-reads the touched
-:class:`TaskRuntime` into its row — the mirror never duplicates mutation
-logic, it only *copies* fields the mutators already wrote before
-emitting, so a missed formula cannot diverge, only a missed event can
-(and the after-every-event oracle in ``tests/test_sched_core.py``, which
-compares every score against a fresh
+The mirror is the first bus subscriber.  Every task-bearing event
+re-reads the touched :class:`TaskRuntime` into its row — the mirror
+never duplicates mutation logic, it only *copies* fields the mutators
+already wrote before emitting, so a missed formula cannot diverge, only
+a missed event can (and the after-every-event oracle in
+``tests/test_sched_core.py``, which compares every score against a fresh
 :class:`~repro.core.priority.PriorityEvaluator`, exists to catch exactly
 that).  World-shifting events (scheduling rounds, faults, backlog
 re-homing) trigger a full resync — they are rare and may move state
@@ -114,6 +116,9 @@ _NAN = float("nan")
 #: Floor applied to remaining time before taking its reciprocal (mirrors
 #: :data:`repro.core.priority._REMAINING_FLOOR`).
 _REMAINING_FLOOR = 1e-6
+
+#: The DSPConfig fields Eq. 12–13 read (γ and the three ω weights).
+_SCORING_FIELDS = ("gamma", "omega_remaining", "omega_waiting", "omega_allowable")
 
 #: Events that change one task's runtime signals or stint state: the
 #: task's row is re-read from its runtime object.
@@ -215,7 +220,7 @@ class ArrayCore:
 
     Held by the runtime as ``SimRuntime.array``.  Consumers — the DSP
     policy, the resilience retry ranking, the dispatcher, the stall
-    sweep, the view cache and the snapshot counters — use
+    sweep, the baselines' snapshot builder and the snapshot counters — use
     ``priorities``/``scores_at``, ``scores_like``, the scans and
     ``stats()``; the engine drives ``attach``, ``register_job`` and
     ``retire_tasks``.
@@ -259,7 +264,7 @@ class ArrayCore:
         self._child_rows: list[list[int]] = [[] for _ in range(cap)]
         self._height: list[int] = [0] * cap
         self._levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._levels_dirty = True
+        self._levels_stale = True
 
         # Node columns.  Positions are stable for a node's lifetime;
         # elastic membership reuses freed positions through a LIFO free
@@ -304,8 +309,7 @@ class ArrayCore:
 
     # -------------------------------------------------------------- wiring
     def attach(self, bus: k.EventBus) -> None:
-        """Subscribe the mirror maintenance (directly after the view
-        cache on the bus)."""
+        """Subscribe the mirror maintenance (first on the bus)."""
         bus.subscribe(k.TaskFinished, self._on_finished)
         bus.subscribe(_TASK_EVENTS, self._on_task_event)
         bus.subscribe(_WORLD_EVENTS, self._on_world_event)
@@ -343,20 +347,26 @@ class ArrayCore:
             row = rows[tid]
             self._sync_row(row, state.tasks[tid])
             self._live_deps[row] = len(self._child_rows[row])
-        self._levels_dirty = True
+        self._levels_stale = True
         self._version += 1
 
-    def scores_like(self, config: "DSPConfig") -> bool:
-        """True when *config* parameterizes Eq. 12–13 identically to the
-        engine config this core scores with — the guard a policy checks
-        before adopting the core instead of scoring snapshots itself."""
+    def scores_like(self, config: "DSPConfig") -> None:
+        """Check that *config* parameterizes Eq. 12–13 exactly as the
+        engine config this core scores with — the guard a policy passes
+        before adopting the core as its scorer.  Raises ``ValueError``
+        naming the differing fields."""
         cfg = self._rt.dsp_config
-        return (
-            config.gamma == cfg.gamma
-            and config.omega_remaining == cfg.omega_remaining
-            and config.omega_waiting == cfg.omega_waiting
-            and config.omega_allowable == cfg.omega_allowable
-        )
+        differ = [
+            name
+            for name in _SCORING_FIELDS
+            if getattr(config, name) != getattr(cfg, name)
+        ]
+        if differ:
+            raise ValueError(
+                f"policy scores Eq. 12-13 with {', '.join(differ)} "
+                "different from the engine's dsp_config; pass the same "
+                "DSPConfig to both"
+            )
 
     def stats(self) -> dict:
         """Counter snapshot, including the cache hit rate."""
@@ -642,7 +652,7 @@ class ArrayCore:
         live = state != _COMPLETED
 
         scores = self._leaf_scores(now, n)
-        if self._levels_dirty:
+        if self._levels_stale:
             self._rebuild_levels()
         for rows, ppos, crow in self._levels:
             # Edge-list fold: one bincount per level.  bincount's C loop
@@ -739,7 +749,7 @@ class ArrayCore:
                 np.asarray(erow, dtype=np.intp),
             ))
         self._levels = levels
-        self._levels_dirty = False
+        self._levels_stale = False
 
     # --------------------------------------------------- epoch-loop scans
     def dispatch_candidates(
@@ -953,7 +963,7 @@ class ArrayCore:
                     f"array-core rebuild mismatch: task {tid!r} "
                     f"unfinished-parent count diverged"
                 )
-        self._levels_dirty = True
+        self._levels_stale = True
         self._scores = None
         self._scores_now = None
         self._scores_version = -1

@@ -481,7 +481,6 @@ class ElasticSubsystem:
         migrated = self._drain_migrated.pop(node_id, 0)
         node.membership = DECOMMISSIONED
         del rt.state.nodes[node_id]
-        rt.views.drop_node(node_id)
         rt.array.remove_node(node_id)
         if rt.resilience is not None:
             rt.resilience.forget_node(node_id)
@@ -635,11 +634,8 @@ class ElasticSubsystem:
                 )
             node.membership = membership
             rebuilt[nid] = node
-        removed = [nid for nid in state.nodes if nid not in rebuilt]
         state.nodes.clear()
         state.nodes.update(rebuilt)
-        for nid in removed:
-            rt.views.drop_node(nid)
         self._pending_joins = {
             nid: NodeSpec(**fields) for nid, fields in data["pending_joins"]
         }

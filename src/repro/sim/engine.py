@@ -24,7 +24,7 @@ module                    responsibility
 :mod:`~repro.sim.dispatch`     rounds, queue→node dispatch, completion
 :mod:`~repro.sim.preemption_exec`  epoch tick, decision validation, suspend
 :mod:`~repro.sim.fault_sub`    applying injected faults to live state
-:mod:`~repro.sim.views`        incremental NodeView/TaskView snapshots
+:mod:`~repro.sim.views`        NodeView/TaskView snapshots for baselines
 :mod:`~repro.sim.resilience`   retries, speculation, quarantine (optional)
 :mod:`~repro.sim.metrics`      bus subscriber accumulating RunMetrics
 :mod:`~repro.sim.tracelog`     bus subscriber recording Gantt segments
@@ -143,9 +143,9 @@ class SimContext:
     @property
     def priority_index(self) -> ArrayCore:
         """The engine's Eq. 12–13 scorer, the vectorized
-        :class:`~repro.sim.arraycore.ArrayCore`.  A policy should adopt
-        it only after checking ``scores_like`` against its own config,
-        scoring through the view protocol otherwise."""
+        :class:`~repro.sim.arraycore.ArrayCore`.  A policy adopting it
+        checks ``scores_like`` against its own config first, which raises
+        ``ValueError`` when the γ/ω weights differ."""
         return self._rt.array
 
     def now(self) -> float:
@@ -193,12 +193,6 @@ class SimEngine:
         ``preemption.respects_dependencies``.
     max_preemptions_per_task:
         The starvation guard (see module docstring).
-    view_queue_limit:
-        How many waiting tasks (from the queue head) each epoch snapshot
-        exposes to the policy.  The paper's Algorithm 1 only ever examines
-        the first δ-fraction of a queue plus urgent tasks near the head, so
-        a bounded window changes decisions marginally while keeping epoch
-        cost independent of backlog length.
     stall_timeout:
         Dependency-blind dispatch can *deadlock*: a stalled task holds
         capacity its own (queued) ancestor needs — exactly the hazard §IV-A
@@ -272,7 +266,6 @@ class SimEngine:
         task_deadlines: Mapping[str, float] | None = None,
         dependency_aware_dispatch: bool | None = None,
         max_preemptions_per_task: int = 25,
-        view_queue_limit: int = 32,
         stall_timeout: float = 120.0,
         faults: Sequence[FaultEvent] | None = None,
         resilience: ResilienceConfig | None = None,
@@ -288,8 +281,6 @@ class SimEngine:
         sim_config = sim_config or SimConfig()
         if max_preemptions_per_task < 1:
             raise ValueError("max_preemptions_per_task must be >= 1")
-        if view_queue_limit < 1:
-            raise ValueError("view_queue_limit must be >= 1")
         if stall_timeout <= 0:
             raise ValueError("stall_timeout must be > 0")
         self._fault_plan: list[FaultEvent] = sorted(
@@ -325,7 +316,6 @@ class SimEngine:
                 else dependency_aware_dispatch
             ),
             max_preemptions=max_preemptions_per_task,
-            view_queue_limit=view_queue_limit,
             stall_timeout=stall_timeout,
         )
         self._rt = rt
@@ -337,13 +327,7 @@ class SimEngine:
         # The scoring core: the struct-of-arrays mirror every hot loop
         # (scoring, victim scans, view assembly) reads.
         rt.array = ArrayCore(rt)
-        rt.views = ViewCache(
-            state,
-            epoch=sim_config.epoch,
-            queue_limit=view_queue_limit,
-            max_preemptions=max_preemptions_per_task,
-            core=rt.array,
-        )
+        rt.views = ViewCache(rt)
         rt.metrics = MetricsCollector(
             collect_samples=sim_config.collect_task_samples
         )
@@ -367,13 +351,12 @@ class SimEngine:
         # EventKind.SPEC_FINISH is registered by the resilience layer below
         # — no other subsystem ever schedules it.
 
-        # Bus subscribers, in canonical order (docs/architecture.md): view
-        # invalidation first, then the array core (its mirror must be
-        # current before any later subscriber scores through it), then accounting (metrics, trace), then the
-        # resilience layer (which may mutate state or abort the run), and
-        # the invariant checker last — it must observe the world *after*
-        # every other subscriber has reacted to the same event.
-        rt.views.attach(bus)
+        # Bus subscribers, in canonical order (docs/architecture.md): the
+        # array core first (its mirror must be current before any later
+        # subscriber scores through it), then accounting (metrics, trace),
+        # then the resilience layer (which may mutate state or abort the
+        # run), and the invariant checker last — it must observe the world
+        # *after* every other subscriber has reacted to the same event.
         rt.array.attach(bus)
         rt.metrics.attach(bus)
         if rt.trace is not None:
@@ -405,6 +388,12 @@ class SimEngine:
             self.retirement = RetirementManager(rt, batch=sim_config.retire_batch)
             self.retirement.attach(bus, kernel)
 
+        # The policy attaches before the durability layer opens any file:
+        # a DSP policy scoring with other γ/ω than dsp_config raises here.
+        attach = getattr(policy, "attach", None)
+        if callable(attach):
+            attach(SimContext(rt))
+
         # Durability layer, attached after every behavioral subscriber so
         # recording observes the run without perturbing it.  The journal's
         # pop observer is first in the kernel's observer list — its
@@ -432,9 +421,6 @@ class SimEngine:
             # plan is armed here; arrivals enter via submit_job().
             for fault in self._fault_plan:
                 kernel.schedule(fault.time, EventKind.FAULT, fault)
-        attach = getattr(policy, "attach", None)
-        if callable(attach):
-            attach(SimContext(rt))
 
     # ----------------------------------------------------------- accessors
     @property
@@ -605,7 +591,6 @@ class SimEngine:
                 f"the clock ({rt.kernel.now:g})"
             )
         rt.state.register_job(job, task_deadlines)
-        rt.views.register_job(job)
         rt.array.register_job(job)
         rt.metrics.register_job(job.job_id, job.arrival_time, job.deadline)
         for tid in job.tasks:

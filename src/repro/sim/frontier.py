@@ -90,7 +90,7 @@ class RetirementManager:
 
     Per job, eviction touches every subsystem that holds per-task state,
     in dependency order: the state maps first (returning the task ids),
-    then the view cache, the :class:`~repro.sim.arraycore.ArrayCore`
+    then the :class:`~repro.sim.arraycore.ArrayCore`
     (which normally freed its rows in-emit already, making its call a
     no-op except right after a restore), resilience, invariants, and
     finally the metrics fold.  A :class:`~repro.sim.kernel.JobRetired`
@@ -144,7 +144,6 @@ class RetirementManager:
                 f"(remaining={state.job_remaining.get(job_id)!r})"
             )
         tids = state.retire_job(job_id)
-        rt.views.retire_tasks(tids)
         rt.array.retire_tasks(tids)
         if rt.resilience is not None:
             rt.resilience.retire_tasks(tids)

@@ -6,7 +6,7 @@ on the happy path — C2's "never preempt a task you depend on"
 work conservation (§III) — but faults, retries and speculation interact,
 and nothing in the core loop verifies the composed system still honours
 them.  :class:`InvariantChecker` closes that gap: attached last on the
-bus (after views → metrics → trace → resilience, so it observes the
+bus (after array core → metrics → trace → resilience, so it observes the
 world *after* every other subscriber reacted), it audits each event
 against an independent shadow of the run:
 

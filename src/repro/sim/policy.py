@@ -1,32 +1,33 @@
 """Preemption-policy interface between the engine and the strategies.
 
-At every epoch tick the engine hands each policy a :class:`NodeView` — an
-immutable snapshot of one node's running set and waiting queue with the
-runtime signals every strategy in the paper consumes (remaining time,
-waiting time, allowable waiting time, dependencies, job class, resource
-footprint).  The policy answers with :class:`PreemptionDecision` pairs;
-the engine validates and applies them, charging context-switch costs and
-counting disorders.
+At every epoch tick the engine asks the policy, for each contended node,
+which waiting tasks should evict which running tasks
+(:meth:`PreemptionPolicy.select_preemptions_from_core`).  By default the
+policy answers over a :class:`NodeView` — an immutable snapshot of one
+node's running set and waiting queue with the runtime signals the
+baselines consume (remaining time, waiting time, allowable waiting time,
+job class, resource footprint) — through :meth:`select_preemptions`.  The
+policy answers with :class:`PreemptionDecision` pairs; the engine
+validates and applies them, charging context-switch costs and counting
+disorders.
 
-Keeping the interface snapshot-based means DSP and all four baselines
+Keeping the interface decision-only means DSP and all four baselines
 differ *only* in their decision logic — dispatch, bookkeeping and metric
 accounting are shared, so measured differences are attributable to the
 policies alone (the property the paper's §V-B comparison needs).
 
-Every strategy — DSP included — opens with the same victim scan: filter
-the running set down to preemptable members (optionally narrowed by a
-policy rule such as "allowable wait exceeds the epoch"), then sort by a
-victim-preference key.  That substrate lives here as
-:func:`preemptable_victims`.  The baselines (SRPT, Amoeba, Natjam)
+The snapshot-based strategies open with the same victim scan: filter the
+running set down to preemptable members (optionally narrowed by a policy
+rule), then sort by a victim-preference key.  That substrate lives here
+as :func:`preemptable_victims`.  The baselines (SRPT, Amoeba, Natjam)
 additionally share the greedy pairing of claimants against the cheapest
 victim under an acceptance predicate (:func:`greedy_claim`), so each
-baseline contributes only its keys and predicate.  The snapshots handed
-to these scans are assembled from the engine's vectorized array mirror
-(:class:`~repro.sim.arraycore.ArrayCore`); policy code sees only the
-``TaskView`` values.  A policy may additionally implement
-``select_preemptions_from_core(runtime, node)`` to decide straight off
-the mirror's columns (DSP does, when it scores like the engine); a
-``None`` return sends the engine back to the snapshot protocol.
+baseline contributes only its keys and predicate.
+:class:`~repro.sim.views.ViewCache` assembles the snapshots from the
+engine's vectorized array mirror; policy code sees only the ``TaskView``
+values.  DSP overrides
+:meth:`~PreemptionPolicy.select_preemptions_from_core` and runs
+Algorithm 1 straight off the mirror's columns, with no snapshot.
 """
 
 from __future__ import annotations
@@ -85,9 +86,6 @@ class TaskView:
         Owning job's weight; Natjam treats weight >= 1 as production.
     job_deadline:
         Owning job's absolute deadline.
-    depends_on_running:
-        Task ids *within this node's running set* that are ancestors of
-        this task (condition C2 forbids preempting them).
     """
 
     task_id: str
@@ -103,7 +101,6 @@ class TaskView:
     resource_footprint: float
     job_weight: float
     job_deadline: float
-    depends_on_running: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,6 +210,19 @@ class PreemptionPolicy(abc.ABC):
         present, victim under the preemption cap, freed capacity
         sufficient), so a policy may be optimistic.
         """
+
+    def select_preemptions_from_core(
+        self, runtime, node
+    ) -> Sequence[PreemptionDecision]:
+        """Decide this epoch's preemptions for *node* at the engine's
+        current instant — the call the engine makes.
+
+        The default snapshots *node* from the engine's array mirror
+        (``runtime.views.build``) and defers to
+        :meth:`select_preemptions`; a policy that decides straight off the
+        mirror's columns overrides it (DSP does).
+        """
+        return self.select_preemptions(runtime.views.build(node, runtime.now))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"

@@ -3,10 +3,11 @@ suspend/resume and recovery-cost charging.
 
 Policies *decide*; this module *applies*.  Every epoch tick (§IV-B) it
 kicks timed-out stalls (the §IV-A deadlock breaker), lets epoch-driven
-subscribers act (the bus ``EpochTick``), snapshots each contended node
-through the :class:`~repro.sim.views.ViewCache` and validates the
-policy's (preempting, victim) pairs against live state before applying
-them — so policies may be optimistic.  It also owns the engine's two
+subscribers act (the bus ``EpochTick``), asks the policy to decide for
+each contended node
+(:meth:`~repro.sim.policy.PreemptionPolicy.select_preemptions_from_core`)
+and validates its (preempting, victim) pairs against live state before
+applying them — so policies may be optimistic.  It also owns the engine's two
 safety rails: the per-task preemption cap (starvation guard) and the
 deadlock detector.
 """
@@ -49,24 +50,16 @@ class PreemptionExecutor:
         self._evict_timed_out_stalls()
         rt.bus.emit(EpochTick(rt.now))
         if not rt.policy.is_noop:
-            # Policies that adopted the array core can scan its columns
-            # directly, skipping snapshot materialization; a None return
-            # means "not adopted" and falls back to the view protocol.
-            scan = getattr(rt.policy, "select_preemptions_from_core", None)
             for node_id in sorted(state.nodes):
                 node = state.nodes[node_id]
                 if not node.available or node.queue_length == 0:
                     continue  # unreachable or nothing waiting => nothing to do
                 if not node.running:
                     # No occupant => no valid victim: apply() would reject
-                    # every pair, so skip the snapshot entirely (free
+                    # every pair, so skip the decision entirely (free
                     # capacity is the dispatcher's job below).
                     continue
-                decisions = scan(rt, node) if scan is not None else None
-                if decisions is None:
-                    view = rt.views.build(node, rt.now)
-                    decisions = rt.policy.select_preemptions(view)
-                for decision in decisions:
+                for decision in rt.policy.select_preemptions_from_core(rt, node):
                     self.apply(decision, node)
         for node in state.nodes.values():
             rt.dispatch.dispatch(node)

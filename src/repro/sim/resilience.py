@@ -339,16 +339,11 @@ class ResilienceManager:
             task.finish_version += 1  # invalidate the loser's finish event
             node.running.discard(task_id)
             node.release(task.task.demand)
-            # The teardown changes the node's running set outside the bus
-            # taxonomy (no Task* eviction event fires for the loser), so
-            # invalidate its view snapshot explicitly.
-            rt.views.mark_dirty(node.node_id)
         elif task.state is TaskState.STALLED:
             node = state.nodes[task.node_id]
             rt.dispatch.end_stall(task)
             node.running.discard(task_id)
             node.release(task.task.demand)
-            rt.views.mark_dirty(node.node_id)
         elif task.state is TaskState.QUEUED:
             # The original failed/was preempted meanwhile and sits in a
             # queue (possibly gated by backoff); the copy completes for it.

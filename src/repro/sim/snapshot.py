@@ -14,9 +14,6 @@ are captured.
 
 Deliberately **not** serialized:
 
-* the :class:`~repro.sim.views.ViewCache` — restored cold (cleared); its
-  dirty-tracking contract guarantees a cold cache rebuilds entries from
-  current state, which is exactly what was captured;
 * the :class:`~repro.sim.arraycore.ArrayCore` mirror — every column is
   a copy of restored object state, so restore rebuilds it from scratch
   and *asserts* the rebuild against an independent derivation
@@ -115,7 +112,6 @@ def _fingerprint(engine: "SimEngine") -> dict:
         "policy": getattr(rt.policy, "name", type(rt.policy).__name__),
         "dependency_aware": rt.dependency_aware,
         "max_preemptions": rt.max_preemptions,
-        "view_queue_limit": rt.view_queue_limit,
         "stall_timeout": rt.stall_timeout,
         "resilience": rt.resilience is not None,
         "trace": rt.trace is not None,
@@ -234,7 +230,6 @@ def snapshot_engine(engine: "SimEngine") -> dict:
             rt.invariants.snapshot_state() if rt.invariants is not None else None
         ),
         "scheduler": scheduler_state,
-        "views_rebuilds": rt.views.rebuilds,
         "index_counters": {
             "hits": rt.array.hits,
             "misses": rt.array.misses,
@@ -372,12 +367,6 @@ def restore_into(engine: "SimEngine", data: dict) -> None:
                 f"{type(rt.scheduler).__name__} has no restore_state()"
             )
         restore(data["scheduler"])
-
-    # View cache: restored cold — dirty-tracking guarantees a cold cache
-    # rebuilds every entry from the (restored) current state.
-    rt.views._deps.clear()
-    rt.views._dirty.clear()
-    rt.views.rebuilds = data["views_rebuilds"]
 
     # Array core: rebuilt from the restored objects, not serialized —
     # then asserted equivalent.

@@ -304,7 +304,6 @@ class SimRuntime:
         *,
         dependency_aware: bool,
         max_preemptions: int,
-        view_queue_limit: int,
         stall_timeout: float,
     ) -> None:
         self.state = state
@@ -316,7 +315,6 @@ class SimRuntime:
         self.policy = policy
         self.dependency_aware = dependency_aware
         self.max_preemptions = max_preemptions
-        self.view_queue_limit = view_queue_limit
         self.stall_timeout = stall_timeout
         # Wired by the engine after construction.
         self.dispatch: "DispatchSubsystem" = None  # type: ignore[assignment]

@@ -40,7 +40,6 @@ def make_view(
     footprint: float = 1.0,
     weight: float = 0.0,
     deadline: float = 1000.0,
-    depends_on: frozenset[str] = frozenset(),
 ) -> TaskView:
     """TaskView factory with sane defaults for policy unit tests."""
     return TaskView(
@@ -57,7 +56,6 @@ def make_view(
         resource_footprint=footprint,
         job_weight=weight,
         job_deadline=deadline,
-        depends_on_running=depends_on,
     )
 
 

@@ -52,6 +52,7 @@ from repro.dag.task import TaskState
 from repro.sim import MembershipEvent, SimEngine
 from repro.sim.arraycore import _RUNNING, _STALLED, _STATE_CODE, ArrayCore, DenseIds
 from repro.sim.kernel import EpochTick
+from repro.sim.views import VIEW_QUEUE_LIMIT
 
 from test_sched_core import _chaos_inputs, _drive, _engine, _faulty_engine, _sim_cfg
 
@@ -305,8 +306,8 @@ def _check_scans_at_epochs(engine: SimEngine) -> dict[str, int]:
         for node in rt.state.nodes.values():
             if not node.running or not node.queue_length:
                 continue
-            ordered, queued = rt.views.node_order(node)
-            rows = core.rows_of(ordered + queued)
+            ids = sorted(node.running) + node.queued_ids(VIEW_QUEUE_LIMIT)
+            rows = core.rows_of(ids)
             got = core.scan_signals(rows, rt.now, node.rate, rt.max_preemptions)
             want = _reference_scan(core, rows, rt.now, node.rate, rt.max_preemptions)
             assert _bits(got[0]) == _bits(want[0]), (rt.now, node.node_id)

@@ -1,50 +1,59 @@
-"""Unit tests for DSP's Algorithm 1 (urgent pass, C1/C2, PP filter, δ)."""
+"""Unit tests for DSP's Algorithm 1 (urgent pass, C1/C2, PP filter, δ).
+
+The scenarios drive :func:`repro.core.preemption.algorithm1` directly
+with hand-set per-task values; the scores are Eq. 13 leaf priorities
+(:func:`~repro.core.priority.leaf_priority`) of the stated remaining,
+waiting and allowable times.
+"""
+
+from dataclasses import dataclass
 
 import pytest
 
-from repro.config import DSPConfig
-from repro.core import DSPPreemption
-from repro.dag.graph import build_children_map
+from repro.cluster import Cluster, NodeSpec
+from repro.config import DSPConfig, SimConfig
+from repro.core import DSPPreemption, HeuristicScheduler
+from repro.core.preemption import algorithm1
+from repro.core.priority import leaf_priority
+from repro.dag import Job
+from repro.sim import SimEngine
 from repro.sim.policy import PreemptionDecision
 
-from tests.helpers import make_node_view, make_view
+from tests.helpers import make_node_view, make_task, make_view
 
 
-class StubCtx:
-    """Minimal SimContext substitute driving the priority evaluator."""
+@dataclass
+class T:
+    """One task's Algorithm 1 inputs: a score and the scan signals."""
 
-    def __init__(self, tasks, remaining=None, waiting=None, allowable=None):
-        self.tasks = tasks
-        self.children = build_children_map(tasks)
-        self._rem = remaining or {}
-        self._wait = waiting or {}
-        self._allow = allowable or {}
-
-    def remaining_time(self, tid):
-        return self._rem.get(tid, 10.0)
-
-    def waiting_time(self, tid):
-        return self._wait.get(tid, 0.0)
-
-    def allowable_wait(self, tid):
-        return self._allow.get(tid, 100.0)
-
-    def is_completed(self, tid):
-        return False
+    task_id: str
+    score: float
+    allowable: float = 100.0
+    overdue: float = 0.0
+    runnable: bool = True
+    preemptable: bool = True
+    ancestors: frozenset[str] = frozenset()
 
 
-def attach_policy(config=None, tasks=None, **signals) -> DSPPreemption:
-
-    tasks = tasks or {}
-    policy = DSPPreemption(config or DSPConfig())
-    policy.attach(StubCtx(tasks, **signals))
-    return policy
+def score(remaining=10.0, waiting=0.0, allowable=100.0, config=None) -> float:
+    """Eq. 13 leaf priority under *config* (default weights)."""
+    return leaf_priority(config or DSPConfig(), remaining, waiting, allowable)
 
 
-def flat_tasks(*ids: str):
-    from tests.helpers import make_task
-
-    return {tid: make_task(task_id=tid) for tid in ids}
+def decide(running, waiting, config=None, epoch=5.0) -> list[PreemptionDecision]:
+    tasks = [*running, *waiting]
+    return algorithm1(
+        config or DSPConfig(),
+        epoch,
+        [t.task_id for t in running],
+        [t.task_id for t in waiting],
+        [t.score for t in tasks],
+        [t.overdue for t in tasks],
+        [t.allowable for t in tasks],
+        [t.runnable for t in tasks],
+        [t.preemptable for t in tasks],
+        {t.task_id: t.ancestors for t in waiting},
+    )
 
 
 class TestNames:
@@ -61,216 +70,159 @@ class TestNames:
 
 class TestUrgentPass:
     def test_urgent_by_allowable(self):
-        tasks = flat_tasks("w", "r")
-        policy = attach_policy(tasks=tasks, remaining={"w": 10.0, "r": 10.0})
-        view = make_node_view(
-            running=[make_view("r", running=True, allowable=100.0)],
-            waiting=[make_view("w", allowable=0.005)],  # <= epsilon
+        decisions = decide(
+            running=[T("r", score())],
+            waiting=[T("w", score(), allowable=0.005)],  # <= epsilon
         )
-        decisions = policy.select_preemptions(view)
         assert decisions == [PreemptionDecision("w", "r")]
 
     def test_urgent_by_overdue_tau(self):
-        tasks = flat_tasks("w", "r")
         cfg = DSPConfig(tau=30.0)
         # Give the waiting task a LOWER priority than the runner so only
         # the urgent pass (not C1) can fire.
-        policy = attach_policy(cfg, tasks=tasks, remaining={"w": 100.0, "r": 0.1})
-        view = make_node_view(
-            running=[make_view("r", running=True, allowable=100.0, remaining=0.1)],
-            waiting=[make_view("w", overdue_waiting=31.0, remaining=100.0)],
+        decisions = decide(
+            running=[T("r", score(0.1))],
+            waiting=[T("w", score(100.0), overdue=31.0)],
+            config=cfg,
         )
-        assert policy.select_preemptions(view) == [PreemptionDecision("w", "r")]
+        assert decisions == [PreemptionDecision("w", "r")]
 
     def test_not_urgent_below_tau(self):
-        tasks = flat_tasks("w", "r")
         cfg = DSPConfig(tau=30.0)
-        policy = attach_policy(cfg, tasks=tasks, remaining={"w": 100.0, "r": 0.1})
-        view = make_node_view(
-            running=[make_view("r", running=True, allowable=100.0, remaining=0.1)],
-            waiting=[make_view("w", overdue_waiting=5.0, remaining=100.0)],
+        decisions = decide(
+            running=[T("r", score(0.1))],
+            waiting=[T("w", score(100.0), overdue=5.0)],
+            config=cfg,
         )
-        assert list(policy.select_preemptions(view)) == []
+        assert decisions == []
 
     def test_urgent_still_respects_c2(self):
-        tasks = flat_tasks("w", "r")
-        policy = attach_policy(tasks=tasks)
-        view = make_node_view(
-            running=[make_view("r", running=True, allowable=100.0)],
-            waiting=[make_view("w", allowable=0.0, depends_on=frozenset({"r"}))],
+        decisions = decide(
+            running=[T("r", score())],
+            waiting=[T("w", score(), allowable=0.0, ancestors=frozenset({"r"}))],
         )
-        assert list(policy.select_preemptions(view)) == []
+        assert decisions == []
 
     def test_non_runnable_waiting_skipped(self):
-        tasks = flat_tasks("w", "r")
-        policy = attach_policy(tasks=tasks)
-        view = make_node_view(
-            running=[make_view("r", running=True, allowable=100.0)],
-            waiting=[make_view("w", allowable=0.0, runnable=False)],
+        decisions = decide(
+            running=[T("r", score())],
+            waiting=[T("w", score(), allowable=0.0, runnable=False)],
         )
-        assert list(policy.select_preemptions(view)) == []
+        assert decisions == []
 
 
 class TestConditionsC1C2:
     def test_c1_higher_priority_preempts(self):
-        tasks = flat_tasks("w", "r")
         # w nearly done (high 1/t_rem), r long: w outranks r by a lot.
-        policy = attach_policy(
-            DSPConfig().without_pp(), tasks=tasks,
-            remaining={"w": 0.01, "r": 100.0},
+        decisions = decide(
+            running=[T("r", score(100.0))],
+            waiting=[T("w", score(0.01))],
+            config=DSPConfig().without_pp(),
         )
-        view = make_node_view(
-            running=[make_view("r", running=True, remaining=100.0, allowable=100.0)],
-            waiting=[make_view("w", remaining=0.01)],
-        )
-        assert policy.select_preemptions(view) == [PreemptionDecision("w", "r")]
+        assert decisions == [PreemptionDecision("w", "r")]
 
     def test_c1_lower_priority_does_not(self):
-        tasks = flat_tasks("w", "r")
-        policy = attach_policy(
-            DSPConfig().without_pp(), tasks=tasks,
-            remaining={"w": 100.0, "r": 0.01},
+        decisions = decide(
+            running=[T("r", score(0.01))],
+            waiting=[T("w", score(100.0))],
+            config=DSPConfig().without_pp(),
         )
-        view = make_node_view(
-            running=[make_view("r", running=True, remaining=0.01, allowable=100.0)],
-            waiting=[make_view("w", remaining=100.0)],
-        )
-        assert list(policy.select_preemptions(view)) == []
+        assert decisions == []
 
     def test_c2_skips_ancestor_takes_next(self):
-        tasks = flat_tasks("w", "r1", "r2")
-        policy = attach_policy(
-            DSPConfig().without_pp(), tasks=tasks,
-            remaining={"w": 0.01, "r1": 200.0, "r2": 100.0},
-        )
         # r1 has the lowest priority but w depends on it -> r2 is evicted.
-        view = make_node_view(
-            running=[
-                make_view("r1", running=True, remaining=200.0, allowable=100.0),
-                make_view("r2", running=True, remaining=100.0, allowable=100.0),
-            ],
-            waiting=[make_view("w", remaining=0.01, depends_on=frozenset({"r1"}))],
+        decisions = decide(
+            running=[T("r1", score(200.0)), T("r2", score(100.0))],
+            waiting=[T("w", score(0.01), ancestors=frozenset({"r1"}))],
+            config=DSPConfig().without_pp(),
         )
-        assert policy.select_preemptions(view) == [PreemptionDecision("w", "r2")]
+        assert decisions == [PreemptionDecision("w", "r2")]
 
     def test_running_with_tight_slack_not_preemptable(self):
-        tasks = flat_tasks("w", "r")
-        policy = attach_policy(
-            DSPConfig().without_pp(), tasks=tasks,
-            remaining={"w": 0.01, "r": 100.0},
-        )
         # allowable_wait (2.0) <= epoch (5.0): protected.
-        view = make_node_view(
-            running=[make_view("r", running=True, remaining=100.0, allowable=2.0)],
-            waiting=[make_view("w", remaining=0.01)],
+        decisions = decide(
+            running=[T("r", score(100.0), allowable=2.0)],
+            waiting=[T("w", score(0.01))],
+            config=DSPConfig().without_pp(),
             epoch=5.0,
         )
-        assert list(policy.select_preemptions(view)) == []
+        assert decisions == []
 
     def test_victim_used_once(self):
-        tasks = flat_tasks("w1", "w2", "r")
-        policy = attach_policy(
-            DSPConfig().without_pp(), tasks=tasks,
-            remaining={"w1": 0.01, "w2": 0.02, "r": 100.0},
+        decisions = decide(
+            running=[T("r", score(100.0))],
+            waiting=[T("w1", score(0.01)), T("w2", score(0.02))],
+            config=DSPConfig().without_pp(),
         )
-        view = make_node_view(
-            running=[make_view("r", running=True, remaining=100.0, allowable=100.0)],
-            waiting=[make_view("w1", remaining=0.01), make_view("w2", remaining=0.02)],
-        )
-        decisions = policy.select_preemptions(view)
         assert len(decisions) == 1  # only one victim available
 
 
 class TestPPFilter:
-    def _view(self):
-        return make_node_view(
-            running=[make_view("r", running=True, remaining=9.0, allowable=100.0)],
-            waiting=[make_view("w", remaining=8.0), make_view("z", remaining=10.0)],
+    # Scores of tasks with remaining 8/9/10 s and no waiting or slack.
+    def _decide(self, config, w_remaining=8.0):
+        return decide(
+            running=[T("r", score(9.0, allowable=0.0))],
+            waiting=[
+                T("w", score(w_remaining, allowable=0.0)),
+                T("z", score(10.0, allowable=0.0)),
+            ],
+            config=config,
         )
 
     def test_small_gap_suppressed_with_pp(self):
-        # Priorities: leaf = 0.5/rem + ...; w vs r gap tiny relative to the
-        # neighbour scale -> PP must suppress.
-        tasks = flat_tasks("w", "r", "z")
-        policy = attach_policy(
-            DSPConfig(rho=1.5), tasks=tasks,
-            remaining={"w": 8.0, "r": 9.0, "z": 10.0},
-            allowable={"w": 0.0, "r": 0.0, "z": 0.0},
-            waiting={"w": 0.0, "r": 0.0, "z": 0.0},
-        )
-        assert list(policy.select_preemptions(self._view())) == []
+        # w vs r gap tiny relative to the neighbour scale -> PP must
+        # suppress.
+        assert self._decide(DSPConfig(rho=1.5)) == []
 
     def test_same_gap_allowed_without_pp(self):
-        tasks = flat_tasks("w", "r", "z")
-        policy = attach_policy(
-            DSPConfig(rho=1.5).without_pp(), tasks=tasks,
-            remaining={"w": 8.0, "r": 9.0, "z": 10.0},
-            allowable={"w": 0.0, "r": 0.0, "z": 0.0},
-            waiting={"w": 0.0, "r": 0.0, "z": 0.0},
-        )
-        decisions = policy.select_preemptions(self._view())
+        decisions = self._decide(DSPConfig(rho=1.5).without_pp())
         assert decisions == [PreemptionDecision("w", "r")]
 
     def test_large_gap_passes_pp(self):
-        tasks = flat_tasks("w", "r", "z")
-        policy = attach_policy(
-            DSPConfig(rho=1.5), tasks=tasks,
-            remaining={"w": 0.01, "r": 9.0, "z": 10.0},
-            allowable={"w": 0.0, "r": 0.0, "z": 0.0},
-            waiting={"w": 0.0, "r": 0.0, "z": 0.0},
-        )
-        view = make_node_view(
-            running=[make_view("r", running=True, remaining=9.0, allowable=100.0)],
-            waiting=[make_view("w", remaining=0.01), make_view("z", remaining=10.0)],
-        )
-        assert policy.select_preemptions(view) == [PreemptionDecision("w", "r")]
+        decisions = self._decide(DSPConfig(rho=1.5), w_remaining=0.01)
+        assert decisions == [PreemptionDecision("w", "r")]
 
 
 class TestDeltaWindow:
     def test_only_head_fraction_considered(self):
         # δ = 0.2 over 10 waiting tasks -> only the first 2 may preempt.
-        tasks = flat_tasks("r1", "r2", "r3", *(f"w{i}" for i in range(10)))
-        remaining = {f"w{i}": 0.01 for i in range(10)}
-        remaining.update({"r1": 100.0, "r2": 100.0, "r3": 100.0})
-        policy = attach_policy(
-            DSPConfig(delta=0.2).without_pp(), tasks=tasks, remaining=remaining,
+        decisions = decide(
+            running=[T(r, score(100.0)) for r in ("r1", "r2", "r3")],
+            waiting=[T(f"w{i}", score(0.01)) for i in range(10)],
+            config=DSPConfig(delta=0.2).without_pp(),
         )
-        view = make_node_view(
-            running=[
-                make_view(r, running=True, remaining=100.0, allowable=100.0)
-                for r in ("r1", "r2", "r3")
-            ],
-            waiting=[make_view(f"w{i}", remaining=0.01) for i in range(10)],
-        )
-        decisions = policy.select_preemptions(view)
         assert len(decisions) == 2
         assert {d.preempting_task_id for d in decisions} == {"w0", "w1"}
 
 
 class TestEdgeCases:
     def test_empty_views(self):
-        policy = attach_policy(tasks=flat_tasks("x"))
-        assert list(policy.select_preemptions(make_node_view([], []))) == []
-        only_running = make_node_view([make_view("x", running=True)], [])
-        assert list(policy.select_preemptions(only_running)) == []
+        assert decide([], []) == []
+        assert decide([T("x", score())], []) == []
 
     def test_unattached_policy_raises(self):
-        policy = DSPPreemption()
-        view = make_node_view(
-            [make_view("r", running=True)], [make_view("w")]
+        cluster = Cluster([
+            NodeSpec(node_id="n0", cpu_size=1.0, mem_size=1.0, mips_per_unit=500.0)
+        ])
+        job = Job.from_tasks("J", [make_task("J.a", "J")], deadline=1e6)
+        engine = SimEngine(
+            cluster, [job], HeuristicScheduler(cluster),
+            preemption=DSPPreemption(),
+            sim_config=SimConfig(epoch=1.0, scheduling_period=10.0),
         )
-        with pytest.raises(AssertionError):
-            policy.select_preemptions(view)
+        rt = engine.runtime
+        with pytest.raises(RuntimeError, match="attach"):
+            DSPPreemption().select_preemptions_from_core(rt, rt.state.nodes["n0"])
+
+    def test_view_protocol_refused(self):
+        view = make_node_view([make_view("r", running=True)], [make_view("w")])
+        with pytest.raises(NotImplementedError):
+            DSPPreemption().select_preemptions(view)
 
     def test_non_preemptable_running_ignored(self):
-        tasks = flat_tasks("w", "r")
-        policy = attach_policy(
-            DSPConfig().without_pp(), tasks=tasks,
-            remaining={"w": 0.01, "r": 100.0},
+        decisions = decide(
+            running=[T("r", score(100.0), preemptable=False)],
+            waiting=[T("w", score(0.01))],
+            config=DSPConfig().without_pp(),
         )
-        view = make_node_view(
-            running=[make_view("r", running=True, remaining=100.0,
-                               allowable=100.0, preemptable=False)],
-            waiting=[make_view("w", remaining=0.01)],
-        )
-        assert list(policy.select_preemptions(view)) == []
+        assert decisions == []

@@ -289,8 +289,6 @@ class TestDisordersAndStalls:
         with pytest.raises(ValueError):
             SimEngine(cl, [job], sched, max_preemptions_per_task=0)
         with pytest.raises(ValueError):
-            SimEngine(cl, [job], sched, view_queue_limit=0)
-        with pytest.raises(ValueError):
             SimEngine(cl, [job], sched, stall_timeout=0.0)
 
 

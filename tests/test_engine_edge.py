@@ -14,6 +14,7 @@ from repro.sim import (
     SimContext,
     SimEngine,
 )
+from repro.sim.views import VIEW_QUEUE_LIMIT
 
 
 def mk(tid: str, job="J", parents=(), size=1000.0, cpu=1.0,
@@ -88,6 +89,8 @@ class TestSimContext:
 
 class TestViewQueueLimit:
     def test_policy_sees_at_most_limit(self):
+        """With more tasks queued than the limit, the snapshot shows
+        exactly the first VIEW_QUEUE_LIMIT of them."""
         seen = []
 
         class Counter(PreemptionPolicy):
@@ -98,15 +101,16 @@ class TestViewQueueLimit:
                 return ()
 
         cl = one_lane(1)
-        tasks = [mk(f"t{i:02d}", size=2000.0) for i in range(10)]
+        count = VIEW_QUEUE_LIMIT + 8
+        tasks = [mk(f"t{i:02d}", size=2000.0) for i in range(count)]
         job = Job.from_tasks("J", tasks, deadline=1e6)
         eng = SimEngine(
             cl, [job], HeuristicScheduler(cl), preemption=Counter(),
             sim_config=SimConfig(epoch=1.0, scheduling_period=10.0),
-            view_queue_limit=3,
         )
         eng.run()
-        assert seen and max(seen) <= 3
+        assert max(seen) == VIEW_QUEUE_LIMIT
+        assert min(seen) < VIEW_QUEUE_LIMIT  # the queue drained below it
 
 
 class TestStalledVictim:

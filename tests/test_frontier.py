@@ -177,7 +177,6 @@ class TestRetirementParity:
         assert state.jobs == {} and state.tasks == {}
         assert state.retired_jobs == 6
         assert state.retired_tasks == metrics.tasks_completed
-        assert engine.runtime.views._static == {}
 
 
 class TestRetirementManager:

@@ -54,9 +54,23 @@ class C2Violator(PreemptionPolicy):
     uses_checkpointing = True
     name = "c2-violator"
 
+    def attach(self, ctx) -> None:
+        self._tasks = ctx.tasks
+
+    def _ancestors(self, task_id: str) -> set[str]:
+        found: set[str] = set()
+        stack = list(self._tasks[task_id].parents)
+        while stack:
+            tid = stack.pop()
+            if tid not in found:
+                found.add(tid)
+                stack.extend(self._tasks[tid].parents)
+        return found
+
     def select_preemptions(self, view: NodeView):
+        running = {r.task_id for r in view.running}
         for waiting in view.waiting:
-            for ancestor in waiting.depends_on_running:
+            for ancestor in sorted(self._ancestors(waiting.task_id) & running):
                 return [PreemptionDecision(waiting.task_id, ancestor)]
         return []
 

@@ -235,8 +235,6 @@ class TestViewCache:
             dependency_aware_dispatch=policy.respects_dependencies,
         )
         metrics = engine.run()
-        views = engine.runtime.views
-        assert views.rebuilds > 0
         assert metrics.tasks_completed == sum(
             len(j.tasks) for j in workload.jobs
         )

@@ -12,17 +12,19 @@ the core to them:
   :meth:`repro.core.priority.PriorityEvaluator.compute` — exact float
   equality, no tolerance.  This is the empirical proof that the
   event-driven mirroring catalog covers every mutation path.
-* **Algorithm 1** — at every epoch tick of a seeded chaos run,
+* **Algorithm 1** — a reference written here from the paper's text
+  (:func:`_reference_algorithm1`; it shares no code with
+  :mod:`repro.core.preemption`).  At every epoch tick of a seeded chaos
+  run,
   :meth:`~repro.core.preemption.DSPPreemption.select_preemptions_from_core`
-  decides exactly as the view-based
-  :meth:`~repro.core.preemption.DSPPreemption.select_preemptions` over a
-  freshly built ``NodeView`` scored by a fresh ``PriorityEvaluator``.
+  decides exactly as the reference over the runtime objects' signals and
+  a fresh ``PriorityEvaluator``; a derandomized property test holds
+  :func:`~repro.core.preemption.algorithm1` to it on drawn node states.
 * **Restore** — a crash/restore replays to identical results (the restore
   path rebuilds the core from objects and asserts equivalence).
 * **Adoption guard** — a :class:`~repro.core.preemption.DSPPreemption`
-  configured with different Eq. 12–13 parameters than the engine must
-  *not* adopt the core, and scores snapshots over the engine's live
-  structure instead.
+  configured with different Eq. 12–13 parameters than the engine is
+  refused at construction.
 
 Most checks run twice, parametrized by ``batch``: ``True`` hands the
 workload to the engine up front, ``False`` admits the same jobs through
@@ -33,17 +35,18 @@ engine and its policy are wired).
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import Cluster, NodeSpec, ResourceVector
 from repro.config import DSPConfig, ResilienceConfig, SimConfig, SnapshotConfig
 from repro.core import HeuristicScheduler
-from repro.core.preemption import DSPPreemption
+from repro.core.preemption import DSPPreemption, algorithm1
 from repro.core.priority import PriorityEvaluator
 from repro.dag import Job, Task
 from repro.dag.task import TaskState
-from repro.experiments.figures import cluster_profile
 from repro.experiments.harness import (
     build_workload_for_cluster,
     compute_level_deadlines,
@@ -58,6 +61,8 @@ from repro.sim import (
     random_fault_plan,
 )
 from repro.sim.arraycore import ArrayCore
+from repro.sim.policy import PreemptionDecision
+from repro.sim.views import VIEW_QUEUE_LIMIT
 
 
 def _small_cluster(n: int = 4) -> Cluster:
@@ -262,35 +267,103 @@ class TestIndexMatchesStateless:
 
 
 # ---------------------------------------------------- Algorithm 1 oracle
-class _ViewOracle(DSPPreemption):
-    """Algorithm 1 over ``NodeView`` snapshots, scored by its own
-    stateless :class:`PriorityEvaluator` (never the array core)."""
+def _reference_algorithm1(
+    cfg: DSPConfig,
+    epoch: float,
+    running: list[str],
+    waiting: list[str],
+    prio: dict[str, float],
+    overdue: dict[str, float],
+    allowable: dict[str, float],
+    runnable: dict[str, bool],
+    preemptable: dict[str, bool],
+    ancestors,
+) -> list[PreemptionDecision]:
+    """Algorithm 1 as §IV-B states it, written apart from the production
+    code: per-task values keyed by task id, *waiting* in queue order."""
+    # Line 2: running tasks whose allowable waiting time exceeds the
+    # epoch may be preempted, lowest priority first.
+    candidates = [
+        t for t in running if preemptable[t] and allowable[t] > epoch
+    ]
+    candidates.sort(key=lambda t: (prio[t], t))
+    # P-bar: mean priority gap between neighbours once the node's tasks
+    # are sorted by priority.
+    ranked = sorted(prio[t] for t in running + waiting)
+    gaps = [b - a for a, b in zip(ranked, ranked[1:])]
+    p_bar = sum(gaps) / len(gaps) if gaps else 0.0
+    decisions: list[PreemptionDecision] = []
+    preempting: set[str] = set()
 
-    def __init__(self, config: DSPConfig, rt) -> None:
-        super().__init__(config)
-        self._rt = rt
-        self._evaluator = PriorityEvaluator(config, rt.state.static_tasks)
+    def evict(w: str, gated: bool) -> None:
+        for v in candidates:
+            if v in ancestors[w]:
+                continue  # C2: a task never evicts its own ancestor
+            if gated:
+                gap = prio[w] - prio[v]
+                if gap <= 0:
+                    return  # C1 fails here and for every later candidate
+                if cfg.use_pp:
+                    normalized_ok = gap / p_bar > cfg.rho if p_bar > 0 else gap > 0
+                    if not normalized_ok:
+                        return  # PP: later candidates leave smaller gaps
+            decisions.append(PreemptionDecision(w, v))
+            candidates.remove(v)
+            preempting.add(w)
+            return
 
-    def _priorities(self, view):
-        rt = self._rt
-        state = rt.state
-        now = rt.now
-        ids = [t.task_id for t in view.running] + [t.task_id for t in view.waiting]
+    # Lines 3-11: urgent tasks preempt without C1/PP.
+    for w in waiting:
+        if runnable[w] and (allowable[w] <= cfg.epsilon or overdue[w] >= cfg.tau):
+            evict(w, gated=False)
+    # Lines 12-19: the first delta-fraction of the queue, C1 (+PP) gated.
+    for w in waiting[: max(1, math.ceil(cfg.delta * len(waiting)))]:
+        if runnable[w] and w not in preempting:
+            evict(w, gated=True)
+    return decisions
 
-        def remaining(tid: str) -> float:
-            return state.remaining_time(tid, now)
 
-        return self._evaluator.compute_for(
-            ids,
-            remaining_fn=remaining,
-            waiting_fn=lambda tid: state.tasks[tid].waiting_time_at(now),
-            allowable_fn=lambda tid: (
-                state.tasks[tid].deadline - now - remaining(tid)
-            ),
-            completed_fn=lambda tid: (
-                state.tasks[tid].state is TaskState.COMPLETED
-            ),
-        )
+def _reference_for_node(
+    cfg: DSPConfig, rt, node, evaluator: PriorityEvaluator
+) -> list[PreemptionDecision]:
+    """The reference over *node*'s live state: signals from the runtime
+    objects, priorities from a stateless :class:`PriorityEvaluator`,
+    C2 from the memoized ancestor closures."""
+    state = rt.state
+    now = rt.now
+    running = sorted(node.running)
+    waiting = node.queued_ids(VIEW_QUEUE_LIMIT)
+    ids = running + waiting
+
+    def remaining(tid: str) -> float:
+        return state.remaining_time(tid, now)
+
+    def allowable(tid: str) -> float:
+        return state.tasks[tid].deadline - now - remaining(tid)
+
+    prio = evaluator.compute_for(
+        ids,
+        remaining_fn=remaining,
+        waiting_fn=lambda tid: state.tasks[tid].waiting_time_at(now),
+        allowable_fn=allowable,
+        completed_fn=lambda tid: state.tasks[tid].state is TaskState.COMPLETED,
+    )
+    tasks = {tid: state.tasks[tid] for tid in ids}
+    return _reference_algorithm1(
+        cfg,
+        rt.sim_config.epoch,
+        running,
+        waiting,
+        prio,
+        {tid: t.overdue_waiting_at(now) for tid, t in tasks.items()},
+        {tid: allowable(tid) for tid in ids},
+        {tid: t.is_runnable for tid, t in tasks.items()},
+        {
+            tid: t.occupies_resources and t.preempt_count < rt.max_preemptions
+            for tid, t in tasks.items()
+        },
+        state.ancestors,
+    )
 
 
 class TestAlgorithm1Oracle:
@@ -298,14 +371,14 @@ class TestAlgorithm1Oracle:
     @pytest.mark.parametrize("seed", [0, 2, 5])
     def test_core_scan_matches_view_oracle(self, seed: int, use_pp: bool):
         """At every epoch tick, for every node with both running and
-        queued tasks, the column scan decides exactly as the view-based
-        Algorithm 1 over a fresh snapshot."""
+        queued tasks, the column scan decides exactly as the reference
+        Algorithm 1 over the runtime objects."""
         cfg = DSPConfig(use_pp=use_pp)
         engine = _faulty_engine(seed, cfg)
         rt = engine.runtime
         policy = rt.policy
         assert policy._core is rt.array
-        oracle = _ViewOracle(cfg, rt)
+        evaluator = PriorityEvaluator(cfg, rt.state.static_tasks)
         compared = 0
         decided = 0
 
@@ -316,9 +389,7 @@ class TestAlgorithm1Oracle:
                 if not node.running or not node.queue_length:
                     continue
                 got = list(policy.select_preemptions_from_core(rt, node))
-                want = list(
-                    oracle.select_preemptions(rt.views.build(node, rt.now))
-                )
+                want = _reference_for_node(cfg, rt, node, evaluator)
                 assert got == want, (rt.now, node_id)
                 compared += 1
                 decided += bool(got)
@@ -329,6 +400,58 @@ class TestAlgorithm1Oracle:
         engine.run()
         assert compared > 20, "too few contended snapshots to be meaningful"
         assert decided > 0, "oracle never saw a preemption"
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_matches_reference_on_drawn_nodes(self, data):
+        """On small drawn node states — tied scores, allowable and
+        overdue values on both sides of epsilon, tau and the epoch,
+        random flags and ancestor sets — :func:`algorithm1` decides
+        exactly as the reference."""
+        cfg = DSPConfig(
+            use_pp=data.draw(st.booleans(), "use_pp"),
+            delta=data.draw(st.sampled_from([0.2, 0.35, 1.0]), "delta"),
+        )
+        epoch = 5.0
+        n_run = data.draw(st.integers(0, 6), "n_run")
+        n_wait = data.draw(st.integers(0, 10), "n_wait")
+        running = [f"r{i}" for i in range(n_run)]
+        waiting = [f"w{i}" for i in range(n_wait)]
+        ids = running + waiting
+        scores = st.one_of(
+            st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+            st.floats(-5.0, 50.0, allow_nan=False),
+        )
+        allowables = st.sampled_from([
+            -1.0, 0.0, cfg.epsilon, 0.02, 1.0, epoch, epoch + 1e-9, 60.0,
+        ])
+        overdues = st.sampled_from([0.0, cfg.tau - 1.0, cfg.tau, cfg.tau + 1.0])
+        prio = {t: data.draw(scores, f"score {t}") for t in ids}
+        allowable = {t: data.draw(allowables, f"allowable {t}") for t in ids}
+        overdue = {t: data.draw(overdues, f"overdue {t}") for t in ids}
+        runnable = {t: data.draw(st.booleans(), f"runnable {t}") for t in ids}
+        preemptable = {t: data.draw(st.booleans(), f"preemptable {t}") for t in ids}
+        ancestors = {
+            w: frozenset(
+                data.draw(st.sets(st.sampled_from(running)), f"ancestors {w}")
+                if running else ()
+            )
+            for w in waiting
+        }
+
+        def column(values: dict) -> list:
+            return [values[t] for t in ids]
+
+        got = algorithm1(
+            cfg, epoch, running, waiting, column(prio), column(overdue),
+            column(allowable), column(runnable), column(preemptable),
+            ancestors,
+        )
+        want = _reference_algorithm1(
+            cfg, epoch, running, waiting, prio, overdue, allowable,
+            runnable, preemptable, ancestors,
+        )
+        assert got == want
 
 
 # ------------------------------------------------------------- wiring
@@ -426,51 +549,19 @@ class TestPolicyAdoption:
         assert engine.runtime.policy._core is engine.runtime.array
 
     @pytest.mark.parametrize("batch", [True, False])
-    def test_mismatched_config_falls_back(self, batch: bool):
-        """A policy scoring with different omegas than the engine does not
-        adopt the core (its scores would be wrong) and decides over
-        snapshots instead."""
-        cluster = _small_cluster()
-        engine = _engine(
-            cluster,
-            _diamond_jobs(),
-            None,
-            batch,
-            preemption=DSPPreemption(_MISMATCHED),
-            dsp_config=DSPConfig(),
-            sim_config=_sim_cfg(),
-        )
-        rt = engine.runtime
-        policy = rt.policy
-        assert policy._core is None
-        node = next(iter(rt.state.nodes.values()))
-        assert policy.select_preemptions_from_core(rt, node) is None
-        _drive(engine)  # completes on the snapshot path
-
-    @pytest.mark.parametrize("retire", [False, True])
-    def test_mismatched_config_streaming(self, retire: bool):
-        """Regression: a non-adopting policy in a streaming run scores over
-        the engine's live structure, so jobs submitted after attach (and
-        jobs retired mid-run) are scored without a stale task set."""
-        cluster = cluster_profile("cluster")
-        cfg = DSPConfig()
-        workload = build_workload_for_cluster(
-            6, cluster, scale=10.0, seed=3, config=cfg, demand_fraction=0.8
-        )
-        deadlines = compute_level_deadlines(workload, cluster, cfg)
-        engine = _engine(
-            cluster,
-            workload.jobs,
-            deadlines,
-            False,
-            preemption=DSPPreemption(cfg.replace(gamma=0.3)),
-            dsp_config=cfg,
-            sim_config=_sim_cfg().replace(retire_completed=retire),
-        )
-        assert engine.runtime.policy._core is None
-        metrics = _drive(engine)
-        assert metrics.jobs_completed == len(workload.jobs)
-        assert metrics.num_preemptions > 0
+    def test_mismatched_config_refused(self, batch: bool):
+        """A policy scoring with different Eq. 12-13 weights than the
+        engine is refused at construction, naming the differing fields."""
+        with pytest.raises(ValueError, match="omega_remaining, omega_allowable"):
+            _engine(
+                _small_cluster(),
+                _diamond_jobs(),
+                None,
+                batch,
+                preemption=DSPPreemption(_MISMATCHED),
+                dsp_config=DSPConfig(),
+                sim_config=_sim_cfg(),
+            )
 
 
 # ------------------------------------- stateless fallback self-consistency
