@@ -42,10 +42,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, milp
-
-import networkx as nx
 
 from .._util import check_non_negative
 from ..cluster.cluster import Cluster
@@ -68,6 +64,18 @@ class ILPResult:
     status: str
     relaxed: bool
     mip_gap: float | None = None
+
+
+def _descendants(kids: Sequence[Sequence[int]], root: int) -> set[int]:
+    """Indices reachable from *root* along ``kids`` edges, *root* excluded."""
+    seen: set[int] = set()
+    stack = list(kids[root])
+    while stack:
+        i = stack.pop()
+        if i not in seen:
+            seen.add(i)
+            stack.extend(kids[i])
+    return seen
 
 
 class ILPScheduler:
@@ -125,6 +133,11 @@ class ILPScheduler:
         Raises :class:`ScheduleInfeasible` when HiGHS proves infeasibility
         (e.g. deadlines too tight) or returns no solution in the limit.
         """
+        # scipy is imported here, not at module level, so that planners
+        # that never solve an ILP start without loading it.
+        import scipy.sparse as sp
+        from scipy.optimize import Bounds, LinearConstraint, milp
+
         tasks: list[Task] = []
         deadline: dict[str, float] = {}
         release: dict[str, float] = {}
@@ -145,12 +158,11 @@ class ILPScheduler:
         busy = np.array([[self._busy_time(t, r) for r in rates] for t in tasks])
 
         # Precedence-path matrix: pairs already ordered skip the disjunction.
-        g = nx.DiGraph()
-        g.add_nodes_from(range(T))
+        kids: list[list[int]] = [[] for _ in range(T)]
         for t in tasks:
             for p in t.parents:
-                g.add_edge(tindex[p], tindex[t.task_id])
-        reach: list[set[int]] = [set(nx.descendants(g, i)) for i in range(T)]
+                kids[tindex[p]].append(tindex[t.task_id])
+        reach = [_descendants(kids, i) for i in range(T)]
 
         pairs = [
             (i, j)

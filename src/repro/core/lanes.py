@@ -19,7 +19,7 @@ starvation test (Algorithm 1's τ) depends on.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import math
 from typing import Iterable, Sequence
 
@@ -57,6 +57,10 @@ def demand_sized_lanes(cluster: Cluster, jobs: Sequence[Job]) -> dict[str, int]:
 class LaneTimelines:
     """Persistent per-node lane availability for offline planning.
 
+    Each node's lanes are a sorted list of the times they become free, so
+    the k-th lane to free up is ``lanes[k - 1]`` and occupying k lanes is a
+    slice delete plus one sorted insert.
+
     Parameters
     ----------
     cluster:
@@ -68,22 +72,36 @@ class LaneTimelines:
 
     def __init__(self, cluster: Cluster, lanes: dict[str, int] | None = None):
         self._cluster = cluster
-        self._caps = {n.node_id: n.capacity.as_tuple() for n in cluster}
+        # Per node, the dimensions with capacity, as (index, capacity):
+        # the only ones a dominant share is taken over.
+        self._dims = {
+            n.node_id: tuple((d, c) for d, c in enumerate(n.capacity.as_tuple()) if c > 0)
+            for n in cluster
+        }
         self._fixed = dict(lanes) if lanes is not None else None
         self._free: dict[str, list[float]] | None = None
         if self._fixed is not None:
-            self._init_free(self._fixed)
+            self._init_free({nid: [0.0] * count for nid, count in self._fixed.items()})
 
-    def _init_free(self, lanes: dict[str, int]) -> None:
-        self.lanes = dict(lanes)
-        self._free = {nid: [0.0] * count for nid, count in lanes.items()}
-        for h in self._free.values():
-            heapq.heapify(h)
+    def _init_free(self, free: dict[str, list[float]]) -> None:
+        self.lanes = {nid: len(times) for nid, times in free.items()}
+        self._free = free
+        # Placement walks the nodes in cluster order.  A task's lane count
+        # depends only on the node's capacity dimensions and lane total,
+        # so nodes of one shape share it: placement computes it once per
+        # shape, and each row is (node id, shape index, lane list).
+        shapes: dict[tuple, int] = {}
+        self._rows = []
+        for node in self._cluster:
+            nid = node.node_id
+            shape = (self._dims[nid], len(free[nid]))
+            self._rows.append((nid, shapes.setdefault(shape, len(shapes)), free[nid]))
+        self._shapes = list(shapes)
 
     def reset(self) -> None:
         """Drop all planned occupancy (and lazy sizing, when applicable)."""
         if self._fixed is not None:
-            self._init_free(self._fixed)
+            self._init_free({nid: [0.0] * count for nid, count in self._fixed.items()})
         else:
             self._free = None
 
@@ -91,15 +109,14 @@ class LaneTimelines:
     def snapshot_state(self) -> dict:
         """Serializable planned-occupancy state (run snapshot protocol).
 
-        Lanes are heaps, but only their *value multiset* is observable
-        (``nsmallest`` / pop-k-push-k), so the sorted list is a canonical
-        form that restores to identical planning decisions.
+        Only each node's multiset of lane free times is observable, and
+        the sorted lists the planner keeps are its canonical form.
         """
         return {
             "fixed": dict(self._fixed) if self._fixed is not None else None,
             "lanes": dict(self.lanes) if self._free is not None else None,
             "free": (
-                {nid: sorted(h) for nid, h in self._free.items()}
+                {nid: list(times) for nid, times in self._free.items()}
                 if self._free is not None
                 else None
             ),
@@ -111,39 +128,31 @@ class LaneTimelines:
         if data["free"] is None:
             self._free = None
         else:
+            self._init_free({nid: sorted(vals) for nid, vals in data["free"].items()})
             self.lanes = dict(data["lanes"])
-            self._free = {nid: list(vals) for nid, vals in data["free"].items()}
-            for h in self._free.values():
-                heapq.heapify(h)
 
     def ensure_sized(self, jobs: Sequence[Job]) -> None:
         """Size the lanes from *jobs* if not already sized."""
         if self._free is None:
-            self._init_free(demand_sized_lanes(self._cluster, jobs))
+            lanes = demand_sized_lanes(self._cluster, jobs)
+            self._init_free({nid: [0.0] * count for nid, count in lanes.items()})
 
     def lanes_needed(self, node_id: str, demand: tuple[float, float, float, float]) -> int:
         """Lanes a task of *demand* occupies on *node_id* (dominant share)."""
         assert self._free is not None, "call ensure_sized() first"
-        cap = self._caps[node_id]
-        total = len(self._free[node_id])
-        share = max((demand[d] / cap[d] for d in range(4) if cap[d] > 0), default=0.0)
-        return min(total, max(1, math.ceil(share * total)))
+        return _lanes_needed(demand, self._dims[node_id], len(self._free[node_id]))
 
     def earliest_start(self, node_id: str, k: int, ready: float) -> float:
         """Earliest time *k* lanes of *node_id* are simultaneously free, at
         or after *ready*."""
         assert self._free is not None, "call ensure_sized() first"
-        kth = heapq.nsmallest(k, self._free[node_id])[-1]
-        return max(kth, ready)
+        lanes = self._free[node_id]
+        return max(lanes[min(k, len(lanes)) - 1], ready)
 
     def commit(self, node_id: str, k: int, end: float) -> None:
         """Occupy *k* lanes of *node_id* until *end*."""
         assert self._free is not None, "call ensure_sized() first"
-        h = self._free[node_id]
-        for _ in range(k):
-            heapq.heappop(h)
-        for _ in range(k):
-            heapq.heappush(h, end)
+        _occupy(self._free[node_id], k, end)
 
     def place_eft(
         self,
@@ -154,19 +163,23 @@ class LaneTimelines:
         """Earliest-finish-time placement over all nodes.
 
         ``exec_time_of(node_id) -> seconds``.  Returns (node_id, start,
-        end) and commits the occupancy.
+        end) and commits the occupancy; ties on finish go to the earlier
+        start, then the smaller node id.
         """
-        best: tuple[float, float, str, int] | None = None
-        for node in self._cluster:
-            nid = node.node_id
-            k = self.lanes_needed(nid, demand)
-            start = self.earliest_start(nid, k, ready)
+        assert self._free is not None, "call ensure_sized() first"
+        needed = [_lanes_needed(demand, dims, total) for dims, total in self._shapes]
+        best = None
+        for nid, shape, lanes in self._rows:
+            k = needed[shape]
+            start = lanes[k - 1]
+            if ready > start:
+                start = ready
             end = start + exec_time_of(nid)
-            if best is None or (end, start, nid) < (best[0], best[1], best[2]):
-                best = (end, start, nid, k)
+            if best is None or (end, start, nid) < best[:3]:
+                best = (end, start, nid, k, lanes)
         assert best is not None
-        end, start, nid, k = best
-        self.commit(nid, k, end)
+        end, start, nid, k, lanes = best
+        _occupy(lanes, k, end)
         return nid, start, end
 
     def place_earliest_start(
@@ -177,15 +190,37 @@ class LaneTimelines:
     ) -> tuple[str, float, float]:
         """Least-loaded placement: the node that can *start* soonest (ties
         by id).  Returns (node_id, start, end) and commits the occupancy."""
-        best: tuple[float, str, int] | None = None
-        for node in self._cluster:
-            nid = node.node_id
-            k = self.lanes_needed(nid, demand)
-            start = self.earliest_start(nid, k, ready)
-            if best is None or (start, nid) < (best[0], best[1]):
-                best = (start, nid, k)
+        assert self._free is not None, "call ensure_sized() first"
+        needed = [_lanes_needed(demand, dims, total) for dims, total in self._shapes]
+        best = None
+        for nid, shape, lanes in self._rows:
+            k = needed[shape]
+            start = lanes[k - 1]
+            if ready > start:
+                start = ready
+            if best is None or (start, nid) < best[:2]:
+                best = (start, nid, k, lanes)
         assert best is not None
-        start, nid, k = best
+        start, nid, k, lanes = best
         end = start + exec_time_of(nid)
-        self.commit(nid, k, end)
+        _occupy(lanes, k, end)
         return nid, start, end
+
+
+def _lanes_needed(demand, dims, total: int) -> int:
+    """Lanes of *total* that *demand* occupies: its dominant share over the
+    node's capacity dimensions *dims*, rounded up, clamped to [1, total]."""
+    share = 0.0
+    for d, cap in dims:
+        s = demand[d] / cap
+        if s > share:
+            share = s
+    return min(total, max(1, math.ceil(share * total)))
+
+
+def _occupy(lanes: list[float], k: int, end: float) -> None:
+    """Hand the *k* earliest-free lanes of a sorted lane list to a task
+    ending at *end*, keeping the list sorted."""
+    del lanes[:k]
+    i = bisect.bisect_right(lanes, end)
+    lanes[i:i] = [end] * k

@@ -11,16 +11,16 @@ The paper leans on three structural notions:
   :math:`C_i^q` of each job.
 
 All functions here are pure: they take mappings and return new structures,
-so they are trivially testable and cacheable.  ``networkx`` backs cycle
-detection and topological orders.
+so they are trivially testable and cacheable.  Cycle detection and
+topological orders are one Kahn pass over the parent tuples
+(:func:`topological_order`), linear in tasks plus edges up to the ready
+heap's logarithm.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
-
-import networkx as nx
+import heapq
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .task import Task
 
@@ -48,20 +48,6 @@ class DependencyCycleError(ValueError):
 
 class UnknownParentError(KeyError):
     """Raised when a task references a parent id that is not in the set."""
-
-
-def _as_graph(tasks: Mapping[str, Task]) -> nx.DiGraph:
-    """Build the parent→child digraph, validating parent references."""
-    g = nx.DiGraph()
-    g.add_nodes_from(tasks)
-    for task in tasks.values():
-        for parent in task.parents:
-            if parent not in tasks:
-                raise UnknownParentError(
-                    f"task {task.task_id!r} references unknown parent {parent!r}"
-                )
-            g.add_edge(parent, task.task_id)
-    return g
 
 
 def build_children_map(tasks: Mapping[str, Task]) -> dict[str, tuple[str, ...]]:
@@ -98,25 +84,70 @@ def batch_children(jobs: Iterable["Job"]) -> dict[str, tuple[str, ...]]:
 def validate_acyclic(tasks: Mapping[str, Task]) -> None:
     """Raise :class:`DependencyCycleError` when the dependency relation has
     a cycle; otherwise return silently."""
-    g = _as_graph(tasks)
-    if not nx.is_directed_acyclic_graph(g):
-        cycle = nx.find_cycle(g)
-        path = " -> ".join(edge[0] for edge in cycle) + f" -> {cycle[-1][1]}"
-        raise DependencyCycleError(f"dependency cycle: {path}")
+    topological_order(tasks)
 
 
 def topological_order(tasks: Mapping[str, Task]) -> list[str]:
     """A deterministic topological order of task ids (parents first).
 
-    Determinism matters for reproducibility: ties are broken
-    lexicographically so the same workload yields the same order on every
-    run and platform.
+    Determinism matters for reproducibility: among the tasks whose parents
+    are all placed, the smallest id goes next, so the same workload yields
+    the same order on every run and platform.  One Kahn pass over the
+    parent tuples with a heap of ready ids; it doubles as the acyclicity
+    check, raising :class:`UnknownParentError` for a dangling parent and
+    :class:`DependencyCycleError` naming a cycle when tasks are left over.
     """
-    g = _as_graph(tasks)
-    try:
-        return list(nx.lexicographical_topological_sort(g))
-    except nx.NetworkXUnfeasible as exc:
-        raise DependencyCycleError(str(exc)) from exc
+    children: dict[str, list[str]] = {tid: [] for tid in tasks}
+    waiting: dict[str, int] = {}
+    ready: list[str] = []
+    for tid, task in tasks.items():
+        parents = task.parents
+        for parent in parents:
+            kids = children.get(parent)
+            if kids is None:
+                raise UnknownParentError(
+                    f"task {tid!r} references unknown parent {parent!r}"
+                )
+            kids.append(tid)
+        if parents:
+            waiting[tid] = len(parents)
+        else:
+            ready.append(tid)
+    heapq.heapify(ready)
+    order: list[str] = []
+    while ready:
+        tid = heapq.heappop(ready)
+        order.append(tid)
+        for kid in children[tid]:
+            left = waiting[kid] - 1
+            if left:
+                waiting[kid] = left
+            else:
+                del waiting[kid]
+                heapq.heappush(ready, kid)
+    if waiting:
+        raise DependencyCycleError(f"dependency cycle: {_cycle_path(tasks, waiting)}")
+    return order
+
+
+def _cycle_path(tasks: Mapping[str, Task], unplaced: Mapping[str, int]) -> str:
+    """One cycle among the tasks a Kahn pass could not place, as
+    ``a -> b -> a`` (each arrow a parent → child edge).
+
+    Every unplaced task has an unplaced parent, so walking from the
+    smallest unplaced id to its smallest unplaced parent, again and again,
+    must revisit a task; the stretch between the two visits is a cycle,
+    read backwards.
+    """
+    walk = [min(unplaced)]
+    seen = {walk[0]: 0}
+    while True:
+        parent = min(p for p in tasks[walk[-1]].parents if p in unplaced)
+        if parent in seen:
+            cycle = walk[seen[parent]:] + [parent]
+            return " -> ".join(reversed(cycle))
+        seen[parent] = len(walk)
+        walk.append(parent)
 
 
 def compute_levels(tasks: Mapping[str, Task]) -> dict[str, int]:

@@ -20,7 +20,6 @@ from .graph import (
     enumerate_chains,
     level_partition,
     topological_order,
-    validate_acyclic,
 )
 from .task import Task
 
@@ -76,7 +75,9 @@ class Job:
                 raise ValueError(
                     f"task {tid!r} belongs to job {task.job_id!r}, not {self.job_id!r}"
                 )
-        validate_acyclic(self.tasks)
+        # The acyclicity check is the topological sort; keep its order as
+        # the cached ``topo_order`` so the job is walked once.
+        self.__dict__["topo_order"] = topological_order(self.tasks)
 
     # -- construction helpers -------------------------------------------
     @classmethod
@@ -115,7 +116,8 @@ class Job:
 
     @cached_property
     def topo_order(self) -> list[str]:
-        """Deterministic topological order (parents first)."""
+        """Deterministic topological order (parents first); computed by
+        construction's acyclicity check."""
         return topological_order(self.tasks)
 
     @property

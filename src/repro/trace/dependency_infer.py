@@ -16,7 +16,9 @@ would exceed the level cap or whose dependent count is saturated.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+import bisect
+import math
+from typing import Sequence
 
 from ..dag.generators import MAX_DEPENDENTS, MAX_LEVELS
 from .google_trace import TraceTaskRecord
@@ -70,26 +72,25 @@ def infer_dependencies(
     parents: dict[int, tuple[int, ...]] = {}
     level: dict[int, int] = {}
     child_count: dict[int, int] = {}
-    finished: list[TraceTaskRecord] = []  # kept sorted by end_time ascending
+    # The records that may still become parents, as (end_time,
+    # -task_index) in sorted order.  Those ending by a start time are a
+    # prefix, and read backwards that prefix is the candidate order: most
+    # recent enders first, ties by index.  A record at the level cap or
+    # with a full set of dependents can never be chosen again, so it
+    # leaves the list (or never enters it) and every entry is eligible.
+    eligible: list[tuple[float, int]] = []
 
     for rec in ordered:
-        # Candidates: earlier tasks whose window ends before this one starts
-        # (the no-overlap rule), most recent enders first.
-        candidates = [f for f in finished if f.end_time <= rec.start_time]
-        candidates.sort(key=lambda f: (-f.end_time, f.task_index))
-        chosen: list[int] = []
-        for cand in candidates:
-            if len(chosen) >= max_parents:
-                break
-            if child_count.get(cand.task_index, 0) >= max_dependents:
-                continue
-            if level[cand.task_index] + 1 > max_levels:
-                continue
-            chosen.append(cand.task_index)
+        hi = bisect.bisect_right(eligible, (rec.start_time, math.inf))
+        lo = max(0, hi - max_parents)
+        chosen = [-entry[1] for entry in eligible[lo:hi]]
         parents[rec.task_index] = tuple(sorted(chosen))
         level[rec.task_index] = 1 + max((level[c] for c in chosen), default=0)
         for c in chosen:
             child_count[c] = child_count.get(c, 0) + 1
-        finished.append(rec)
+        if any(child_count[c] >= max_dependents for c in chosen):
+            eligible[lo:hi] = [e for e in eligible[lo:hi] if child_count[-e[1]] < max_dependents]
+        if level[rec.task_index] < max_levels and max_dependents > 0:
+            bisect.insort(eligible, (rec.end_time, -rec.task_index))
 
     return parents

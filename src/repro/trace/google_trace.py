@@ -112,15 +112,15 @@ class GoogleTraceGenerator:
     def sample_duration(self) -> float:
         """One heavy-tailed task duration (seconds)."""
         d = float(self._rng.lognormal(self._mu, self._sigma))
-        return float(np.clip(d, self._min, self._max))
+        return float(min(max(d, self._min), self._max))
 
     def sample_cpu(self) -> float:
         """One normalized CPU request in (0, 1]."""
-        return float(np.clip(self._rng.beta(2.0, 8.0), 1e-3, 1.0))
+        return float(min(max(self._rng.beta(2.0, 8.0), 1e-3), 1.0))
 
     def sample_mem(self) -> float:
         """One normalized memory request in (0, 1]."""
-        return float(np.clip(self._rng.beta(2.0, 8.0), 1e-3, 1.0))
+        return float(min(max(self._rng.beta(2.0, 8.0), 1e-3), 1.0))
 
     def job_records(
         self, job_id: str, num_tasks: int, job_start: float = 0.0

@@ -28,6 +28,7 @@ import numpy as np
 from .._util import check_positive, ensure_rng
 from ..cluster.cluster import Cluster
 from ..cluster.resources import ResourceVector
+from ..dag.graph import critical_path_length
 from ..dag.job import Job
 from ..dag.task import Task
 from .dependency_infer import infer_dependencies
@@ -179,30 +180,27 @@ def job_from_records(
     deadline is ``arrival + slack × critical-path time``.
     """
     parent_map = infer_dependencies(records)
-    tasks: list[Task] = []
+    tid_of = {rec.task_index: f"{job_id}.T{rec.task_index:04d}" for rec in records}
+    tasks: dict[str, Task] = {}
     for rec in sorted(records, key=lambda r: r.task_index):
-        tid = f"{job_id}.T{rec.task_index:04d}"
-        parents = tuple(f"{job_id}.T{p:04d}" for p in parent_map.get(rec.task_index, ()))
-        tasks.append(
-            Task(
-                task_id=tid,
-                job_id=job_id,
-                size_mi=rec.duration * reference_rate_mips,
-                demand=ResourceVector(
-                    cpu=rec.cpu * reference_node_cpu,
-                    mem=rec.mem * reference_node_mem,
-                    disk=TASK_DISK_MB,
-                    bandwidth=TASK_BANDWIDTH_MBPS,
-                ),
-                parents=parents,
-            )
+        tid = tid_of[rec.task_index]
+        tasks[tid] = Task(
+            task_id=tid,
+            job_id=job_id,
+            size_mi=rec.duration * reference_rate_mips,
+            demand=ResourceVector(
+                cpu=rec.cpu * reference_node_cpu,
+                mem=rec.mem * reference_node_mem,
+                disk=TASK_DISK_MB,
+                bandwidth=TASK_BANDWIDTH_MBPS,
+            ),
+            parents=tuple(tid_of[p] for p in parent_map[rec.task_index]),
         )
-    provisional = Job.from_tasks(job_id, tasks, deadline=arrival_time + 1.0, arrival_time=arrival_time)
-    cp = provisional.critical_path_time(reference_rate_mips)
-    return Job.from_tasks(
-        job_id,
-        tasks,
-        deadline=arrival_time + deadline_slack * cp,
+    exec_time = {tid: t.execution_time(reference_rate_mips) for tid, t in tasks.items()}
+    return Job(
+        job_id=job_id,
+        tasks=tasks,
+        deadline=arrival_time + deadline_slack * critical_path_length(tasks, exec_time),
         arrival_time=arrival_time,
         weight=weight,
     )

@@ -1,6 +1,7 @@
 """Tests for DAG operations (repro.dag.graph)."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.dag import (
     DependencyCycleError,
@@ -145,3 +146,77 @@ class TestCriticalPath:
     def test_parallel_roots(self):
         tasks = task_map(mk("a"), mk("b"))
         assert critical_path_length(tasks, {"a": 2.0, "b": 3.0}) == pytest.approx(3.0)
+
+
+# -- independent oracle ------------------------------------------------------
+@st.composite
+def drawn_dags(draw):
+    """A small DAG whose ids are shuffled against its construction order:
+    node ``i`` may only take parents among nodes ``0..i-1``, and the ids
+    are distinct short strings drawn independently of ``i``."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    ids = draw(
+        st.lists(
+            st.text(alphabet="abcxyz", min_size=1, max_size=3),
+            min_size=n, max_size=n, unique=True,
+        )
+    )
+    parents: list[tuple[int, ...]] = []
+    for i in range(n):
+        picked = draw(st.sets(st.integers(min_value=0, max_value=i - 1), max_size=3)) if i else set()
+        parents.append(tuple(sorted(picked)))
+    return ids, parents
+
+
+def reference_order(tasks: dict[str, Task]) -> list[str]:
+    """Repeatedly take the smallest id whose parents are all placed."""
+    placed: list[str] = []
+    done: set[str] = set()
+    while len(placed) < len(tasks):
+        tid = min(
+            t for t, task in tasks.items()
+            if t not in done and all(p in done for p in task.parents)
+        )
+        placed.append(tid)
+        done.add(tid)
+    return placed
+
+
+def tasks_of(ids, parents, extra=None) -> dict[str, Task]:
+    extra = extra or {}
+    return task_map(*(
+        mk(ids[i], tuple(ids[p] for p in parents[i]) + extra.get(i, ()))
+        for i in range(len(ids))
+    ))
+
+
+class TestKahnOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(drawn_dags())
+    def test_order_matches_reference(self, dag):
+        ids, parents = dag
+        tasks = tasks_of(ids, parents)
+        assert topological_order(tasks) == reference_order(tasks)
+        validate_acyclic(tasks)  # no raise
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(drawn_dags(), st.data())
+    def test_back_edge_names_a_real_cycle(self, dag, data):
+        ids, parents = dag
+        # A back edge from some task to one of its ancestors closes a cycle.
+        ancestors = {i: set() for i in range(len(ids))}
+        for i, ps in enumerate(parents):
+            for p in ps:
+                ancestors[i] |= {p} | ancestors[p]
+        edged = [i for i in ancestors if ancestors[i]]
+        assume(edged)
+        child = data.draw(st.sampled_from(edged))
+        ancestor = data.draw(st.sampled_from(sorted(ancestors[child])))
+        tasks = tasks_of(ids, parents, extra={ancestor: (ids[child],)})
+        for check in (validate_acyclic, topological_order):
+            with pytest.raises(DependencyCycleError) as err:
+                check(tasks)
+            path = str(err.value).split(": ", 1)[1].split(" -> ")
+            assert len(path) >= 3 and path[0] == path[-1]
+            for parent, kid in zip(path, path[1:]):
+                assert parent in tasks[kid].parents

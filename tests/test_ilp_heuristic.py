@@ -1,5 +1,8 @@
 """Tests for the heuristic (list-scheduling) relaxation and lane model."""
 
+import heapq
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -159,3 +162,133 @@ class TestLaneModel:
         tl = LaneTimelines(cluster, {"node-00": 1, "node-01": 1})
         nid, start, _ = tl.place_earliest_start((1.0, 1.0, 0, 0), 0.0, lambda n: 1.0)
         assert nid == "node-00" and start == 0.0
+
+
+class TestLaneLists:
+    def test_earliest_start_k_lanes(self, cluster):
+        tl = LaneTimelines(cluster, {"node-00": 3, "node-01": 3})
+        tl.commit("node-00", 1, 5.0)
+        tl.commit("node-00", 1, 2.0)  # free times now 0, 2, 5
+        assert tl.earliest_start("node-00", 1, 0.0) == 0.0
+        assert tl.earliest_start("node-00", 2, 0.0) == 2.0
+        assert tl.earliest_start("node-00", 3, 0.0) == 5.0
+        assert tl.earliest_start("node-00", 2, 3.0) == 3.0  # ready is later
+
+    def test_commit_onto_equal_end_times(self, cluster):
+        tl = LaneTimelines(cluster, {"node-00": 4, "node-01": 4})
+        tl.commit("node-00", 2, 5.0)
+        tl.commit("node-00", 1, 7.0)  # free times 0, 5, 5, 7
+        tl.commit("node-00", 1, 5.0)  # the 0 lane joins the two 5s
+        assert tl.snapshot_state()["free"]["node-00"] == [5.0, 5.0, 5.0, 7.0]
+        assert tl.earliest_start("node-00", 3, 0.0) == 5.0
+        tl.commit("node-00", 3, 5.0)  # three 5s out, three 5s in
+        assert tl.snapshot_state()["free"]["node-00"] == [5.0, 5.0, 5.0, 7.0]
+        tl.commit("node-00", 2, 6.0)
+        assert tl.snapshot_state()["free"]["node-00"] == [5.0, 6.0, 6.0, 7.0]
+
+    def test_restored_snapshot_places_identically(self, cluster):
+        # Written in the snapshot format: per-node sorted free-time lists.
+        snap = {
+            "fixed": None,
+            "lanes": {"node-00": 3, "node-01": 3},
+            "free": {"node-00": [0.0, 2.5, 7.0], "node-01": [1.0, 1.0, 4.0]},
+        }
+        tl = LaneTimelines(cluster)
+        tl.restore_state(snap)
+        small, full = (1.0, 1.0, 0.02, 0.02), (4.0, 1.0, 0.02, 0.02)
+        got = [
+            tl.place_eft((2.0, 1.0, 0.02, 0.02), 0.5, lambda n: 3.0),
+            tl.place_earliest_start(small, 0.0, lambda n: 2.0),
+            # Both nodes finish at 8.0; the earlier start wins.
+            tl.place_eft(full, 0.0, lambda n: {"node-00": 1.0, "node-01": 4.0}[n]),
+            tl.place_earliest_start((0.5, 3.0, 0.02, 0.02), 6.0, lambda n: 1.5),
+            tl.place_eft(small, 0.0, lambda n: 0.25),
+        ]
+        assert got == [
+            ("node-01", 1.0, 4.0),
+            ("node-00", 0.0, 2.0),
+            ("node-01", 4.0, 8.0),
+            ("node-00", 7.0, 8.5),
+            ("node-01", 8.0, 8.25),
+        ]
+        assert tl.snapshot_state() == {
+            "fixed": None,
+            "lanes": {"node-00": 3, "node-01": 3},
+            "free": {"node-00": [8.5, 8.5, 8.5], "node-01": [8.0, 8.0, 8.25]},
+        }
+
+
+class HeapLanes(LaneTimelines):
+    """Reference lane model: each node's lanes a binary heap, the k-th free
+    time read with ``nsmallest`` and an occupancy committed as k pops and
+    k pushes, the dominant share a generator ``max``."""
+
+    def ensure_sized(self, jobs):
+        if getattr(self, "heaps", None) is None:
+            self.heaps = {
+                nid: [0.0] * count
+                for nid, count in demand_sized_lanes(self._cluster, jobs).items()
+            }
+
+    def _pick(self, demand, ready):
+        for node in self._cluster:
+            cap = node.capacity.as_tuple()
+            heap = self.heaps[node.node_id]
+            share = max(
+                (demand[d] / cap[d] for d in range(4) if cap[d] > 0), default=0.0
+            )
+            k = min(len(heap), max(1, math.ceil(share * len(heap))))
+            yield node.node_id, k, max(heapq.nsmallest(k, heap)[-1], ready)
+
+    def _commit(self, nid, k, end):
+        for _ in range(k):
+            heapq.heappop(self.heaps[nid])
+        for _ in range(k):
+            heapq.heappush(self.heaps[nid], end)
+
+    def place_eft(self, demand, ready, exec_time_of):
+        end, start, nid, k = min(
+            (start + exec_time_of(nid), start, nid, k)
+            for nid, k, start in self._pick(demand, ready)
+        )
+        self._commit(nid, k, end)
+        return nid, start, end
+
+    def place_earliest_start(self, demand, ready, exec_time_of):
+        start, nid, k = min((start, nid, k) for nid, k, start in self._pick(demand, ready))
+        end = start + exec_time_of(nid)
+        self._commit(nid, k, end)
+        return nid, start, end
+
+
+class TestPlannersMatchHeapLanes:
+    """Every planner on the shared lane model plans a seeded two-round
+    workload on a mixed cluster exactly as it does on the heap reference."""
+
+    @pytest.mark.parametrize("planner", ["fcfs", "aalo", "heuristic", "graphene"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_assignments_identical(self, planner, seed):
+        from repro.baselines import AaloScheduler, FCFSScheduler, GrapheneLiteScheduler
+        from repro.cluster import Cluster, ec2_node, palmetto_node
+        from repro.trace import WorkloadSpec, build_workload
+
+        cluster = Cluster(
+            [palmetto_node("p-00"), ec2_node("e-00"), palmetto_node("p-01"), ec2_node("e-01")]
+        )
+        make = {
+            "fcfs": FCFSScheduler,
+            "aalo": AaloScheduler,
+            "heuristic": HeuristicScheduler,
+            "graphene": GrapheneLiteScheduler,
+        }[planner]
+        jobs = build_workload(WorkloadSpec(num_jobs=6, scale=40.0), rng=seed).by_arrival()
+        plans = []
+        for lanes in (None, HeapLanes(cluster)):
+            sched = make(cluster)
+            if lanes is not None:
+                sched._timelines = lanes
+            plans.append([
+                {t: (a.node_id, a.start, a.finish) for t, a in sched.schedule(batch).assignments.items()}
+                for batch in (jobs[:3], jobs[3:])
+            ])
+        assert plans[0] == plans[1]
