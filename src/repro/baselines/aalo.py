@@ -20,106 +20,50 @@ Following the paper's mapping — a job is a coflow, its tasks are the flows
   (least-loaded placement; Aalo itself does not optimize placement);
 * deadlines are ignored — the paper stresses "Aalo does not consider the
   deadlines of coflows".
+
+On the shared :class:`~repro.core.lanes.LanePlanner` loop it contributes
+FCFS's order key with the job's queue in front, ``(queue, job position
+by (arrival, id), topological index)``, and earliest-start placement.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .._util import check_positive
-from ..cluster.cluster import Cluster
-from ..config import DSPConfig
-from ..core.lanes import LaneTimelines
-from ..core.schedule import Schedule, TaskAssignment
+from ..core.lanes import LanePlanner
 from ..dag.job import Job
+from .fcfs import arrival_keys
 
 __all__ = ["AaloScheduler"]
 
+#: Attained-service threshold of the first queue (MI); queue *q* spans
+#: ``[BASE_THRESHOLD_MI * QUEUE_FACTOR^(q-1), BASE_THRESHOLD_MI *
+#: QUEUE_FACTOR^q)``.  1e6 MI separates the workload builder's
+#: small/medium/large job classes into distinct queues, mirroring how
+#: Aalo's data thresholds separate coflow size classes.
+BASE_THRESHOLD_MI = 1_000_000.0
+#: Exponential spacing between queue thresholds (Aalo uses 10).
+QUEUE_FACTOR = 10.0
+#: Number of discrete queues (Aalo uses ~10).
+NUM_QUEUES = 10
 
-class AaloScheduler:
-    """Discretized coflow-aware FIFO planning over job (coflow) queues.
 
-    Parameters
-    ----------
-    cluster, config:
-        Hardware and θ weights.
-    base_threshold:
-        Attained-service threshold of the first queue (MI); queue *q*
-        spans ``[base * factor^(q-1), base * factor^q)``.  The 1e6 MI
-        default separates the workload builder's small/medium/large job
-        classes into distinct queues, mirroring how Aalo's data thresholds
-        separate coflow size classes.
-    factor:
-        Exponential spacing between queue thresholds (Aalo uses 10).
-    num_queues:
-        Number of discrete queues (Aalo uses ~10).
-    """
+class AaloScheduler(LanePlanner):
+    """Discretized coflow-aware FIFO planning over job (coflow) queues."""
 
-    respects_dependencies = True
     name = "Aalo"
-
-    def __init__(
-        self,
-        cluster: Cluster,
-        config: DSPConfig | None = None,
-        base_threshold: float = 1_000_000.0,
-        factor: float = 10.0,
-        num_queues: int = 10,
-    ):
-        check_positive(base_threshold, "base_threshold")
-        if factor <= 1.0:
-            raise ValueError(f"factor must be > 1, got {factor!r}")
-        check_positive(num_queues, "num_queues")
-        self._cluster = cluster
-        self._config = config or DSPConfig()
-        self._base = base_threshold
-        self._factor = factor
-        self._num_queues = num_queues
-        self._rates = {
-            n.node_id: n.processing_rate(self._config.theta_cpu, self._config.theta_mem)
-            for n in cluster
-        }
-        # Demand-sized lane timelines, persistent across batches (shared
-        # model with the DSP heuristic so placement capacity is identical).
-        self._timelines = LaneTimelines(cluster)
-
-    def reset(self) -> None:
-        """Forget all previously planned batches (fresh lane timelines)."""
-        self._timelines.reset()
+    eft = False
 
     def queue_of(self, job: Job) -> int:
         """Discretized queue index (0-based) for a job by its total work."""
         work = job.total_work_mi()
-        threshold = self._base
-        for q in range(self._num_queues - 1):
+        threshold = BASE_THRESHOLD_MI
+        for q in range(NUM_QUEUES - 1):
             if work < threshold:
                 return q
-            threshold *= self._factor
-        return self._num_queues - 1
+            threshold *= QUEUE_FACTOR
+        return NUM_QUEUES - 1
 
-    def schedule(self, jobs: Sequence[Job]) -> Schedule:
-        """Plan one batch in (queue, arrival, job id) order."""
-        ordered = sorted(jobs, key=lambda j: (self.queue_of(j), j.arrival_time, j.job_id))
-        self._timelines.ensure_sized(jobs)
-
-        assignments: dict[str, TaskAssignment] = {}
-        finish: dict[str, float] = {}
-        for job in ordered:
-            for tid in job.topo_order:
-                task = job.tasks[tid]
-                ready = max(
-                    job.arrival_time,
-                    max((finish[p] for p in task.parents), default=0.0),
-                )
-                # Least-loaded placement: the node that can start soonest
-                # (Aalo does not optimize placement beyond load balance).
-                nid, start, end = self._timelines.place_earliest_start(
-                    task.demand.as_tuple(),
-                    ready,
-                    lambda n: task.execution_time(self._rates[n]),
-                )
-                finish[tid] = end
-                assignments[tid] = TaskAssignment(
-                    task_id=tid, node_id=nid, start=start, finish=end
-                )
-        return Schedule(assignments)
+    def order_keys(self, jobs: Sequence[Job]) -> dict[str, tuple[int, int, int]]:
+        """Lower queues first, FIFO by (arrival, job id) within a queue."""
+        return arrival_keys(jobs, self.queue_of)

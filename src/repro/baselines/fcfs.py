@@ -9,69 +9,44 @@ placed on whichever node can start soonest.  Pairing this with
 :class:`~repro.core.preemption.DSPPreemption` yields the paper's
 online-only configuration; pairing it with no preemption gives the floor
 both DSP phases are measured against (``benchmarks/bench_modes.py``).
+
+On the shared :class:`~repro.core.lanes.LanePlanner` loop it contributes
+the order key ``(job position by (arrival, id), topological index)`` —
+Aalo's key with every job in one queue — and earliest-start placement.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
-from ..cluster.cluster import Cluster
-from ..config import DSPConfig
-from ..core.lanes import LaneTimelines
-from ..core.schedule import Schedule, TaskAssignment
+from ..core.lanes import LanePlanner
 from ..dag.job import Job
 
-__all__ = ["FCFSScheduler"]
+__all__ = ["FCFSScheduler", "arrival_keys"]
 
 
-class FCFSScheduler:
+def arrival_keys(
+    jobs: Sequence[Job], queue_of: Callable[[Job], int]
+) -> dict[str, tuple[int, int, int]]:
+    """``(queue_of(job), job position by (arrival, id), topological
+    index)`` per task id: jobs served in queue-then-arrival order, each
+    job's tasks in its topological order."""
+    keys: dict[str, tuple[int, int, int]] = {}
+    ordered = sorted(jobs, key=lambda j: (j.arrival_time, j.job_id))
+    for position, job in enumerate(ordered):
+        queue = queue_of(job)
+        for index, tid in enumerate(job.topo_order):
+            keys[tid] = (queue, position, index)
+    return keys
+
+
+class FCFSScheduler(LanePlanner):
     """Arrival-ordered, earliest-start placement with no look-ahead."""
 
-    respects_dependencies = True
     name = "FCFS"
+    eft = False
 
-    def __init__(self, cluster: Cluster, config: DSPConfig | None = None):
-        self._cluster = cluster
-        self._config = config or DSPConfig()
-        self._rates = {
-            n.node_id: n.processing_rate(self._config.theta_cpu, self._config.theta_mem)
-            for n in cluster
-        }
-        self._timelines = LaneTimelines(cluster)
-
-    def reset(self) -> None:
-        """Forget previously planned batches."""
-        self._timelines.reset()
-
-    def snapshot_state(self) -> dict:
-        """Cross-round planner state (run snapshot protocol)."""
-        return {"timelines": self._timelines.snapshot_state()}
-
-    def restore_state(self, data: dict) -> None:
-        """Inverse of :meth:`snapshot_state`."""
-        self._timelines.restore_state(data["timelines"])
-
-    def schedule(self, jobs: Sequence[Job]) -> Schedule:
-        """Place jobs strictly in arrival order (ties by id), tasks in
+    def order_keys(self, jobs: Sequence[Job]) -> dict[str, tuple[int, int, int]]:
+        """Jobs strictly in arrival order (ties by id), tasks in
         topological order — no rank, no packing objective."""
-        ordered = sorted(jobs, key=lambda j: (j.arrival_time, j.job_id))
-        self._timelines.ensure_sized(jobs)
-        assignments: dict[str, TaskAssignment] = {}
-        finish: dict[str, float] = {}
-        for job in ordered:
-            for tid in job.topo_order:
-                task = job.tasks[tid]
-                ready = max(
-                    job.arrival_time,
-                    max((finish[p] for p in task.parents), default=0.0),
-                )
-                nid, start, end = self._timelines.place_earliest_start(
-                    task.demand.as_tuple(),
-                    ready,
-                    lambda n: task.execution_time(self._rates[n]),
-                )
-                finish[tid] = end
-                assignments[tid] = TaskAssignment(
-                    task_id=tid, node_id=nid, start=start, finish=end
-                )
-        return Schedule(assignments)
+        return arrival_keys(jobs, lambda job: 0)

@@ -16,9 +16,12 @@ Trouble score per task (both terms normalized to the batch):
 * ``packability_score`` — the task's dominant resource share (a task that
   nearly fills one dimension fragments nodes and is hard to pack late).
 
-Tasks are placed in two waves — troublesome tasks (top quartile by
-score, in topological order) first with EFT, then everyone else — with
-precedence always respected.  Like TetrisW/SimDep, Graphene-lite sees
+Troublesome tasks (the top quartile by score) are placed first, then
+everyone else, with precedence always respected: a task enters the ready
+frontier once its parents are placed, and the frontier pops troublesome
+tasks before the rest.  On the shared :class:`~repro.core.lanes.LanePlanner`
+loop that is the order key ``(0 if troublesome else 1, -score)`` with
+earliest-finish-time placement.  Like TetrisW/SimDep, Graphene-lite sees
 *structure* but not the paper's dependents-unlocked objective, which is
 the gap DSP exploits.
 """
@@ -27,56 +30,20 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..cluster.cluster import Cluster
-from ..config import DSPConfig
-from ..core.lanes import LaneTimelines
-from ..core.schedule import Schedule, TaskAssignment
-from ..dag.graph import batch_children
+from ..core.lanes import LanePlanner
 from ..dag.job import Job
-from ..dag.task import Task
 
 __all__ = ["GrapheneLiteScheduler"]
 
+#: Fraction of a batch's tasks (by trouble score, descending) treated as
+#: troublesome and placed first (Graphene's T ≈ the long/tough subset).
+TROUBLE_QUANTILE = 0.25
 
-class GrapheneLiteScheduler:
-    """Trouble-first two-wave DAG packing.
 
-    Parameters
-    ----------
-    cluster, config:
-        Hardware and θ weights.
-    trouble_quantile:
-        Fraction of tasks (by trouble score, descending) treated as
-        troublesome and placed in the first wave (Graphene's T ≈ the
-        long/tough subset; default 0.25).
-    """
+class GrapheneLiteScheduler(LanePlanner):
+    """Trouble-first DAG packing with EFT placement."""
 
-    respects_dependencies = True
     name = "Graphene-lite"
-
-    def __init__(
-        self,
-        cluster: Cluster,
-        config: DSPConfig | None = None,
-        trouble_quantile: float = 0.25,
-    ):
-        if not 0.0 < trouble_quantile <= 1.0:
-            raise ValueError(
-                f"trouble_quantile must be in (0, 1], got {trouble_quantile!r}"
-            )
-        self._cluster = cluster
-        self._config = config or DSPConfig()
-        self._quantile = trouble_quantile
-        self._rates = {
-            n.node_id: n.processing_rate(self._config.theta_cpu, self._config.theta_mem)
-            for n in cluster
-        }
-        self._mean_rate = sum(self._rates.values()) / len(self._rates)
-        self._timelines = LaneTimelines(cluster)
-
-    def reset(self) -> None:
-        """Forget previously planned batches."""
-        self._timelines.reset()
 
     # -- trouble scoring -----------------------------------------------------
     def trouble_scores(self, jobs: Sequence[Job]) -> dict[str, float]:
@@ -88,7 +55,7 @@ class GrapheneLiteScheduler:
         }
         for job in jobs:
             for tid, task in job.tasks.items():
-                exec_time[tid] = task.execution_time(self._mean_rate)
+                exec_time[tid] = task.size_mi / self._mean_rate
                 demand = task.demand.as_tuple()
                 share[tid] = max(
                     (demand[d] / max_cap[d] for d in range(4) if max_cap[d] > 0),
@@ -101,59 +68,11 @@ class GrapheneLiteScheduler:
             tid: exec_time[tid] / max_exec + share[tid] for tid in exec_time
         }
 
-    # -- scheduling ------------------------------------------------------------
-    def schedule(self, jobs: Sequence[Job]) -> Schedule:
-        """Two-wave trouble-first placement (precedence-safe)."""
-        all_tasks: dict[str, Task] = {}
-        release: dict[str, float] = {}
-        topo: list[str] = []
-        for job in jobs:
-            for tid in job.topo_order:
-                topo.append(tid)
-                all_tasks[tid] = job.tasks[tid]
-                release[tid] = job.arrival_time
-        if not all_tasks:
-            return Schedule({})
-
-        self._timelines.ensure_sized(jobs)
+    def order_keys(self, jobs: Sequence[Job]) -> dict[str, tuple[int, float]]:
+        """Troublesome tasks first, each group by descending score."""
         scores = self.trouble_scores(jobs)
-        cutoff_index = max(1, int(len(topo) * self._quantile))
-        troublesome = set(
-            sorted(scores, key=scores.get, reverse=True)[:cutoff_index]
-        )
-
-        # Wave order: troublesome first, then the rest — each wave in
-        # topological order so parents always precede children overall:
-        # a child may only be in an earlier wave than its parent if we
-        # re-sort, so we place in topo order but give troublesome tasks
-        # priority *within* the ready frontier.
-        finish: dict[str, float] = {}
-        assignments: dict[str, TaskAssignment] = {}
-        unplaced_parents = {tid: len(all_tasks[tid].parents) for tid in topo}
-        children = batch_children(jobs)
-        ready = [tid for tid in topo if unplaced_parents[tid] == 0]
-
-        def wave_key(tid: str) -> tuple[int, float, str]:
-            return (0 if tid in troublesome else 1, -scores[tid], tid)
-
-        while ready:
-            ready.sort(key=wave_key)
-            tid = ready.pop(0)
-            task = all_tasks[tid]
-            ready_time = max(
-                release[tid], max((finish[p] for p in task.parents), default=0.0)
-            )
-            nid, start, end = self._timelines.place_eft(
-                task.demand.as_tuple(),
-                ready_time,
-                lambda n: task.execution_time(self._rates[n]),
-            )
-            finish[tid] = end
-            assignments[tid] = TaskAssignment(
-                task_id=tid, node_id=nid, start=start, finish=end
-            )
-            for child in children[tid]:
-                unplaced_parents[child] -= 1
-                if unplaced_parents[child] == 0:
-                    ready.append(child)
-        return Schedule(assignments)
+        cutoff = max(1, int(len(scores) * TROUBLE_QUANTILE))
+        troublesome = set(sorted(scores, key=scores.get, reverse=True)[:cutoff])
+        return {
+            tid: (0 if tid in troublesome else 1, -score) for tid, score in scores.items()
+        }

@@ -24,13 +24,15 @@ this is the planner's hot loop.
 The timeline state (free capacity, in-flight planned tasks, plan clock)
 persists across :meth:`schedule` calls, so a later scheduling round's
 start times account for the backlog of earlier batches.  One engine run =
-one scheduler instance; :meth:`reset` clears the state.
+one scheduler instance; :meth:`reset` clears the state, and
+:meth:`snapshot_state`/:meth:`restore_state` carry it across a run
+snapshot.  Tetris shares nothing with the lane planners' list-scheduling
+loop, so it keeps its own packer.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Sequence
 
 import numpy as np
@@ -81,7 +83,32 @@ class TetrisScheduler:
         # In-flight planned executions: (finish, seq, node_id, demand).
         self._finish_heap: list[tuple[float, int, str, np.ndarray]] = []
         self._now: float = 0.0
-        self._seq = itertools.count()
+        self._next_seq = 0
+
+    def snapshot_state(self) -> dict:
+        """Cross-round planner state (run snapshot protocol): free
+        capacity, the in-flight heap, the plan clock and the next heap
+        sequence number.  ``tolist`` keeps each vector's dtype through
+        JSON, so a resumed plan is bit-identical."""
+        return {
+            "free": {nid: vec.tolist() for nid, vec in self._free.items()},
+            "in_flight": [
+                [end, seq, nid, demand.tolist()]
+                for end, seq, nid, demand in self._finish_heap
+            ],
+            "now": self._now,
+            "next_seq": self._next_seq,
+        }
+
+    def restore_state(self, data: dict) -> None:
+        """Inverse of :meth:`snapshot_state` (the heap keeps its order)."""
+        self._free = {nid: np.array(vec) for nid, vec in data["free"].items()}
+        self._finish_heap = [
+            (end, seq, nid, np.array(demand))
+            for end, seq, nid, demand in data["in_flight"]
+        ]
+        self._now = data["now"]
+        self._next_seq = data["next_seq"]
 
     @property
     def respects_dependencies(self) -> bool:
@@ -150,8 +177,9 @@ class TetrisScheduler:
                     )
                     self._free[node.node_id] = cap - demands[i]
                     heapq.heappush(
-                        self._finish_heap, (end, next(self._seq), node.node_id, demands[i])
+                        self._finish_heap, (end, self._next_seq, node.node_id, demands[i])
                     )
+                    self._next_seq += 1
                     unscheduled[i] = False
                     remaining -= 1
                     for child_id in children[task.task_id]:

@@ -6,8 +6,8 @@ from .priority import PriorityEvaluator, leaf_priority
 from .schedule import Schedule, ScheduleInfeasible, TaskAssignment, verify_schedule
 from .estimates import estimate_preemptions
 from .ilp import ILPResult, ILPScheduler
-from .lanes import LaneTimelines, demand_sized_lanes
-from .ilp_heuristic import HeuristicScheduler, node_lane_counts
+from .lanes import LanePlanner, LaneTimelines, demand_sized_lanes
+from .ilp_heuristic import HeuristicScheduler
 from .scheduler import DSPScheduler
 from .preemption import DSPPreemption
 from .dsp import DSPSystem
@@ -25,10 +25,10 @@ __all__ = [
     "estimate_preemptions",
     "ILPResult",
     "ILPScheduler",
+    "LanePlanner",
     "LaneTimelines",
     "demand_sized_lanes",
     "HeuristicScheduler",
-    "node_lane_counts",
     "DSPScheduler",
     "DSPPreemption",
     "DSPSystem",

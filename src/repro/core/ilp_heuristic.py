@@ -11,7 +11,8 @@ practical path: a deterministic list scheduler that keeps the ILP's
    ordering the rounded relaxation induces and the scalar form of §III's
    argument that running tasks with more dependents first raises
    throughput;
-2. each task is placed earliest-finish-time over all nodes on the shared
+2. each task is placed earliest-finish-time over all nodes by the shared
+   :class:`~repro.core.lanes.LanePlanner` loop on the
    :class:`~repro.core.lanes.LaneTimelines` model (demand-proportional
    lane occupancy, persistent across scheduling rounds), respecting
    precedence (a task never starts before its parents' planned finishes)
@@ -24,32 +25,18 @@ scheduler produced it.
 
 from __future__ import annotations
 
-import heapq
-from typing import Mapping, Sequence
+from typing import Callable, Sequence
 
-from .._util import check_positive
 from ..cluster.cluster import Cluster
 from ..config import DSPConfig
 from ..dag.job import Job
 from ..dag.task import Task
-from .lanes import LaneTimelines
-from .priority import PriorityEvaluator
-from .schedule import Schedule, TaskAssignment
+from .lanes import LanePlanner
 
-__all__ = ["HeuristicScheduler", "node_lane_counts"]
+__all__ = ["HeuristicScheduler"]
 
 
-def node_lane_counts(cluster: Cluster) -> dict[str, int]:
-    """Naive concurrency lanes per node: one lane per CPU unit (min 1).
-
-    Kept for callers that want an explicit, demand-independent lane model;
-    the planners themselves default to demand-sized lanes
-    (:func:`repro.core.lanes.demand_sized_lanes`).
-    """
-    return {n.node_id: max(1, int(n.cpu_size)) for n in cluster}
-
-
-class HeuristicScheduler:
+class HeuristicScheduler(LanePlanner):
     """Upward-rank-ordered EFT list scheduler over lane timelines.
 
     Parameters
@@ -57,10 +44,7 @@ class HeuristicScheduler:
     cluster:
         Target nodes.
     config:
-        Supplies θ weights (node rates) and the Eq. 12–13 coefficients.
-    lanes:
-        Optional node_id → lane count override; defaults to demand-sized
-        lanes computed from the first scheduled batch.
+        Supplies θ weights (node rates).
     locality_aware:
         When True (default), the EFT objective includes the input-transfer
         delay of off-location placement (§VI locality extension), pulling
@@ -72,37 +56,12 @@ class HeuristicScheduler:
         self,
         cluster: Cluster,
         config: DSPConfig | None = None,
-        lanes: Mapping[str, int] | None = None,
         locality_aware: bool = True,
     ):
-        self._cluster = cluster
-        self._config = config or DSPConfig()
-        if lanes is not None:
-            for nid, count in lanes.items():
-                check_positive(count, f"lanes[{nid!r}]")
-        self._timelines = LaneTimelines(cluster, dict(lanes) if lanes else None)
+        super().__init__(cluster, config)
         self.locality_aware = locality_aware
         self._bandwidth = {n.node_id: n.bandwidth_capacity for n in cluster}
-        self._rates = {
-            n.node_id: n.processing_rate(self._config.theta_cpu, self._config.theta_mem)
-            for n in cluster
-        }
-        self._mean_rate = sum(self._rates.values()) / len(self._rates)
 
-    def reset(self) -> None:
-        """Forget all previously planned batches (fresh lane timelines)."""
-        self._timelines.reset()
-
-    def snapshot_state(self) -> dict:
-        """Cross-round planner state (run snapshot protocol): only the
-        lane timelines accumulate between batches."""
-        return {"timelines": self._timelines.snapshot_state()}
-
-    def restore_state(self, data: dict) -> None:
-        """Inverse of :meth:`snapshot_state`."""
-        self._timelines.restore_state(data["timelines"])
-
-    # -- static priorities -------------------------------------------------
     def upward_rank(self, jobs: Sequence[Job]) -> dict[str, float]:
         """Dependency-aware list rank: estimated execution time plus the
         longest downstream chain (the classic upward rank).
@@ -113,101 +72,20 @@ class HeuristicScheduler:
         """
         rank: dict[str, float] = {}
         for job in jobs:
+            children = job.children
             for tid in reversed(job.topo_order):
-                est = job.tasks[tid].execution_time(self._mean_rate)
-                kids = job.children[tid]
-                rank[tid] = est + max((rank[c] for c in kids), default=0.0)
+                est = job.tasks[tid].size_mi / self._mean_rate
+                rank[tid] = est + max((rank[c] for c in children[tid]), default=0.0)
         return rank
 
-    def static_priorities(self, jobs: Sequence[Job]) -> dict[str, float]:
-        """Eq. 12–13 evaluated on scheduling-time estimates (remaining =
-        estimated execution at the mean rate, waiting = 0, allowable = job
-        slack).  Exposed for analysis/ablation; the list order itself uses
-        :meth:`upward_rank` (see there)."""
-        all_tasks: dict[str, Task] = {}
-        remaining: dict[str, float] = {}
-        waiting: dict[str, float] = {}
-        allowable: dict[str, float] = {}
-        for job in jobs:
-            for tid, task in job.tasks.items():
-                all_tasks[tid] = task
-                est = task.execution_time(self._mean_rate)
-                remaining[tid] = est
-                waiting[tid] = 0.0
-                allowable[tid] = max(0.0, job.deadline - job.arrival_time - est)
-        evaluator = PriorityEvaluator(self._config, all_tasks)
-        return evaluator.compute(remaining, waiting, allowable)
+    def order_keys(self, jobs: Sequence[Job]) -> dict[str, float]:
+        """Highest upward rank first (ties on task id)."""
+        return {tid: -r for tid, r in self.upward_rank(jobs).items()}
 
-    # -- scheduling ----------------------------------------------------------
-    def schedule(self, jobs: Sequence[Job]) -> Schedule:
-        """Produce the offline plan for *jobs*.
-
-        Deterministic: ties in rank break on task id.  The plan always
-        exists (no deadline enforcement here — infeasible deadlines are the
-        online phase's problem, per §III's adaptive-procedure discussion).
-        """
-        all_tasks: dict[str, Task] = {}
-        release: dict[str, float] = {}
-        for job in jobs:
-            for tid, task in job.tasks.items():
-                all_tasks[tid] = task
-                release[tid] = job.arrival_time
-        if not all_tasks:
-            return Schedule({})
-
-        self._timelines.ensure_sized(jobs)
-        priority = self.upward_rank(jobs)
-
-        # Ready heap keyed by (-rank, task_id); tasks enter when their
-        # last parent is placed.
-        children: dict[str, list[str]] = {tid: [] for tid in all_tasks}
-        unplaced_parents: dict[str, int] = {}
-        for tid, task in all_tasks.items():
-            unplaced_parents[tid] = len(task.parents)
-            for p in task.parents:
-                children[p].append(tid)
-
-        ready: list[tuple[float, str]] = [
-            (-priority[tid], tid) for tid, cnt in unplaced_parents.items() if cnt == 0
-        ]
-        heapq.heapify(ready)
-
-        finish: dict[str, float] = {}
-        assignments: dict[str, TaskAssignment] = {}
-        while ready:
-            _, tid = heapq.heappop(ready)
-            task = all_tasks[tid]
-            ready_time = max(
-                release[tid], max((finish[p] for p in task.parents), default=0.0)
-            )
-            if self.locality_aware and task.input_mb > 0:
-                nid, start, end = self._timelines.place_eft(
-                    task.demand.as_tuple(),
-                    ready_time,
-                    lambda n: task.execution_time(self._rates[n])
-                    + task.transfer_time(n, self._bandwidth[n]),
-                )
-            else:
-                nid, start, end = self._timelines.place_eft(
-                    task.demand.as_tuple(),
-                    ready_time,
-                    lambda n: task.execution_time(self._rates[n]),
-                )
-            finish[tid] = end
-            assignments[tid] = TaskAssignment(
-                task_id=tid, node_id=nid, start=start, finish=end
-            )
-            for child in children[tid]:
-                unplaced_parents[child] -= 1
-                if unplaced_parents[child] == 0:
-                    heapq.heappush(ready, (-priority[child], child))
-
-        if len(assignments) != len(all_tasks):
-            missing = sorted(set(all_tasks) - set(assignments))[:3]
-            raise RuntimeError(f"scheduler left tasks unplaced (cycle?): {missing}")
-        return Schedule(assignments)
-
-    @property
-    def lanes(self) -> dict[str, int]:
-        """Lane counts per node (after sizing; empty dict before)."""
-        return dict(getattr(self._timelines, "lanes", {}))
+    def duration_of(self, task: Task) -> Callable[[str], float]:
+        """Execution time, plus the input transfer of an off-location node
+        when locality-aware."""
+        if self.locality_aware and task.input_mb > 0:
+            rates, bandwidth = self._rates, self._bandwidth
+            return lambda n: task.size_mi / rates[n] + task.transfer_time(n, bandwidth[n])
+        return super().duration_of(task)

@@ -1,4 +1,4 @@
-"""Shared lane-timeline model used by the offline planners.
+"""Shared lane-timeline model and list-scheduling loop of the offline planners.
 
 Every offline planner in this repo needs the same approximation: "when
 could node *k* start a task of demand *d*, given everything I have already
@@ -15,18 +15,29 @@ Timelines persist across planning batches (one engine run = one planner
 instance), so later scheduling rounds see the backlog of earlier ones and
 planned start times stay honest — which the online phase's "overdue"
 starvation test (Algorithm 1's τ) depends on.
+
+:class:`LanePlanner` is the list scheduler §III relaxes the ILP into, run
+over those timelines: tasks are placed one at a time in a priority order,
+each as soon as its job has arrived and its parents are planned.  The
+planners differ only in that order (:meth:`LanePlanner.order_keys`) and
+in the placement rule (earliest finish or earliest start).
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 from ..cluster.cluster import Cluster
+from ..config import DSPConfig
+from ..dag.graph import batch_children
 from ..dag.job import Job
+from ..dag.task import Task
+from .schedule import Schedule, TaskAssignment
 
-__all__ = ["LaneTimelines", "demand_sized_lanes"]
+__all__ = ["LanePlanner", "LaneTimelines", "demand_sized_lanes"]
 
 
 def demand_sized_lanes(cluster: Cluster, jobs: Sequence[Job]) -> dict[str, int]:
@@ -224,3 +235,107 @@ def _occupy(lanes: list[float], k: int, end: float) -> None:
     del lanes[:k]
     i = bisect.bisect_right(lanes, end)
     lanes[i:i] = [end] * k
+
+
+class LanePlanner:
+    """Priority-ordered list scheduling over persistent lane timelines.
+
+    One call to :meth:`schedule` plans a batch: every task whose parents
+    are all placed waits in a heap keyed by ``(order_keys(jobs)[tid],
+    tid)``; the smallest is popped, becomes ready at its job's arrival or
+    its parents' latest planned finish, and is placed on the timelines —
+    earliest-finish-time when :attr:`eft` is set, else on the node that
+    can start it soonest.  Subclasses supply :meth:`order_keys` and may
+    override :meth:`duration_of`.
+
+    Parameters
+    ----------
+    cluster:
+        Target nodes.
+    config:
+        Supplies the θ weights of the node rates (Eq. 1).
+    """
+
+    #: Plans honour precedence, so dispatch should too.
+    respects_dependencies = True
+    #: Placement rule: earliest finish (True) or earliest start (False).
+    eft = True
+
+    def __init__(self, cluster: Cluster, config: DSPConfig | None = None):
+        self._cluster = cluster
+        self._config = config or DSPConfig()
+        # Eq. 1 rates; ``NodeSpec.processing_rate`` rejects a rate <= 0,
+        # so durations below divide by them unchecked.
+        self._rates = {
+            n.node_id: n.processing_rate(self._config.theta_cpu, self._config.theta_mem)
+            for n in cluster
+        }
+        self._mean_rate = sum(self._rates.values()) / len(self._rates)
+        self._timelines = LaneTimelines(cluster)
+
+    def reset(self) -> None:
+        """Forget all previously planned batches (fresh lane timelines)."""
+        self._timelines.reset()
+
+    def snapshot_state(self) -> dict:
+        """Cross-round planner state (run snapshot protocol): only the
+        lane timelines accumulate between batches."""
+        return {"timelines": self._timelines.snapshot_state()}
+
+    def restore_state(self, data: dict) -> None:
+        """Inverse of :meth:`snapshot_state`."""
+        self._timelines.restore_state(data["timelines"])
+
+    def order_keys(self, jobs: Sequence[Job]) -> dict:
+        """Per task id, its place in the ready heap (smaller pops first;
+        ties break on the task id)."""
+        raise NotImplementedError
+
+    def duration_of(self, task: Task) -> Callable[[str], float]:
+        """``node_id -> seconds`` for *task*: Eq. 2's ``l / g(k)``."""
+        size = task.size_mi
+        rates = self._rates
+        return lambda nid: size / rates[nid]
+
+    def schedule(self, jobs: Sequence[Job]) -> Schedule:
+        """Plan one batch onto the persistent timelines.
+
+        Deterministic, and the plan always exists: deadlines are not
+        enforced here (infeasible ones are the online phase's problem,
+        per §III's adaptive-procedure discussion).
+        """
+        tasks: dict[str, Task] = {}
+        release: dict[str, float] = {}
+        for job in jobs:
+            for tid, task in job.tasks.items():
+                tasks[tid] = task
+                release[tid] = job.arrival_time
+        if not tasks:
+            return Schedule({})
+
+        timelines = self._timelines
+        timelines.ensure_sized(jobs)
+        place = timelines.place_eft if self.eft else timelines.place_earliest_start
+        key = self.order_keys(jobs)
+        children = batch_children(jobs)
+        unplaced = {tid: len(task.parents) for tid, task in tasks.items()}
+        heap = [(key[tid], tid) for tid, count in unplaced.items() if count == 0]
+        heapq.heapify(heap)
+
+        finish: dict[str, float] = {}
+        assignments: dict[str, TaskAssignment] = {}
+        while heap:
+            _, tid = heapq.heappop(heap)
+            task = tasks[tid]
+            ready = release[tid]
+            for p in task.parents:
+                if finish[p] > ready:
+                    ready = finish[p]
+            nid, start, end = place(task.demand.as_tuple(), ready, self.duration_of(task))
+            finish[tid] = end
+            assignments[tid] = TaskAssignment(task_id=tid, node_id=nid, start=start, finish=end)
+            for child in children[tid]:
+                unplaced[child] -= 1
+                if unplaced[child] == 0:
+                    heapq.heappush(heap, (key[child], child))
+        return Schedule(assignments)

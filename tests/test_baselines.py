@@ -117,27 +117,29 @@ class TestTetrisPacking:
 
 class TestAalo:
     def test_queue_of_by_total_work(self, cluster):
-        sched = AaloScheduler(cluster, base_threshold=1000.0, factor=10.0)
+        sched = AaloScheduler(cluster)
         small = Job.from_tasks("J", [mk("a", size=500.0)], deadline=1e9)
-        t = Task(task_id="K.b", job_id="K", size_mi=50_000.0)
+        t = Task(task_id="K.b", job_id="K", size_mi=5_000_000.0)
         big = Job(job_id="K", tasks={"K.b": t}, deadline=1e9)
         assert sched.queue_of(small) < sched.queue_of(big)
 
     def test_queue_clamped_to_num_queues(self, cluster):
-        sched = AaloScheduler(cluster, base_threshold=1.0, factor=2.0, num_queues=3)
-        t = Task(task_id="K.b", job_id="K", size_mi=1e12)
+        from repro.baselines.aalo import NUM_QUEUES
+
+        sched = AaloScheduler(cluster)
+        t = Task(task_id="K.b", job_id="K", size_mi=1e18)
         big = Job(job_id="K", tasks={"K.b": t}, deadline=1e9)
-        assert sched.queue_of(big) == 2
+        assert sched.queue_of(big) == NUM_QUEUES - 1
 
     def test_lower_queue_served_first(self, cluster):
         # Big job arrives first but the small job (lower queue) is planned
         # first and therefore starts no later.
-        big_tasks = [mk(f"b{i}", size=50_000.0, cpu=3.0, mem=3.0) for i in range(4)]
+        big_tasks = [mk(f"b{i}", size=500_000.0, cpu=3.0, mem=3.0) for i in range(4)]
         big = Job.from_tasks("J", big_tasks, deadline=1e9, arrival_time=0.0)
         t = Task(task_id="K.s", job_id="K", size_mi=100.0,
                  demand=ResourceVector(cpu=3.0, mem=3.0))
         small = Job(job_id="K", tasks={"K.s": t}, deadline=1e9, arrival_time=0.0)
-        plan = AaloScheduler(cluster, base_threshold=1000.0).schedule([big, small])
+        plan = AaloScheduler(cluster).schedule([big, small])
         assert plan.assignments["K.s"].start == pytest.approx(0.0)
 
     def test_precedence_respected(self, cluster):
@@ -146,14 +148,6 @@ class TestAalo:
         for tid, task in job.tasks.items():
             for p in task.parents:
                 assert plan.assignments[tid].start >= plan.assignments[p].finish - 1e-9
-
-    def test_validation(self, cluster):
-        with pytest.raises(ValueError):
-            AaloScheduler(cluster, base_threshold=0.0)
-        with pytest.raises(ValueError):
-            AaloScheduler(cluster, factor=1.0)
-        with pytest.raises(ValueError):
-            AaloScheduler(cluster, num_queues=0)
 
 
 class TestSRPT:

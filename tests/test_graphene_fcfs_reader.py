@@ -52,10 +52,6 @@ class TestGrapheneLite:
         # nodes, so compare which got node-00 (the first EFT choice).
         assert plan.assignments["long"].node_id == "node-00"
 
-    def test_quantile_validation(self, cluster):
-        with pytest.raises(ValueError):
-            GrapheneLiteScheduler(cluster, trouble_quantile=0.0)
-
     def test_reset_and_persistence(self, cluster):
         sched = GrapheneLiteScheduler(cluster)
         job = Job.from_tasks(

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster import uniform_cluster
 from repro.config import DSPConfig
-from repro.core import HeuristicScheduler, node_lane_counts, verify_schedule
+from repro.core import HeuristicScheduler, verify_schedule
 from repro.core.lanes import LaneTimelines, demand_sized_lanes
 from repro.dag import Job, Task, chain_dag, diamond_dag, layered_random_dag
 
@@ -112,21 +112,15 @@ class TestBatchPersistence:
         assert sched.schedule([j2]).start_of("K.a") == pytest.approx(0.0)
 
     def test_explicit_lanes_respected(self, cluster):
-        sched = HeuristicScheduler(cluster, lanes={"node-00": 1, "node-01": 1})
+        sched = HeuristicScheduler(cluster)
+        sched._timelines = LaneTimelines(cluster, {"node-00": 1, "node-01": 1})
         job = Job.from_tasks("J", [mk("a"), mk("b"), mk("c")], deadline=1e9)
         plan = sched.schedule([job])
         # 3 unit tasks over 2 single-lane nodes: one node must run two.
         assert plan.makespan == pytest.approx(2.0)
 
-    def test_invalid_lane_count_rejected(self, cluster):
-        with pytest.raises(ValueError):
-            HeuristicScheduler(cluster, lanes={"node-00": 0, "node-01": 1})
-
 
 class TestLaneModel:
-    def test_node_lane_counts(self, cluster):
-        assert node_lane_counts(cluster) == {"node-00": 4, "node-01": 4}
-
     def test_demand_sized_lanes(self, cluster):
         # Mean demand cpu=2 on 4-cpu nodes -> 2 lanes.
         job = Job.from_tasks("J", [mk("a", cpu=2.0), mk("b", cpu=2.0)], deadline=1e9)
