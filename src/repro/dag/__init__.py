@@ -11,6 +11,7 @@ from .graph import (
     descendants_by_depth,
     enumerate_chains,
     level_partition,
+    order_and_children,
     topological_order,
     validate_acyclic,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "descendants_by_depth",
     "enumerate_chains",
     "level_partition",
+    "order_and_children",
     "topological_order",
     "validate_acyclic",
     "MAX_DEPENDENTS",

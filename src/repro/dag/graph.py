@@ -14,7 +14,8 @@ All functions here are pure: they take mappings and return new structures,
 so they are trivially testable and cacheable.  Cycle detection and
 topological orders are one Kahn pass over the parent tuples
 (:func:`topological_order`), linear in tasks plus edges up to the ready
-heap's logarithm.
+heap's logarithm; :func:`order_and_children` keeps the pass's child lists
+as the children map, so a job inverts its parent relation once.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "batch_children",
     "validate_acyclic",
     "topological_order",
+    "order_and_children",
     "compute_levels",
     "level_partition",
     "enumerate_chains",
@@ -97,6 +99,24 @@ def topological_order(tasks: Mapping[str, Task]) -> list[str]:
     check, raising :class:`UnknownParentError` for a dangling parent and
     :class:`DependencyCycleError` naming a cycle when tasks are left over.
     """
+    return _kahn(tasks)[0]
+
+
+def order_and_children(
+    tasks: Mapping[str, Task],
+) -> tuple[list[str], dict[str, tuple[str, ...]]]:
+    """:func:`topological_order` and :func:`build_children_map` from one
+    Kahn pass: the child lists the pass builds become the children map
+    (sorted, as :func:`build_children_map` returns them)."""
+    order, children = _kahn(tasks)
+    return order, {tid: tuple(sorted(kids)) for tid, kids in children.items()}
+
+
+def _kahn(
+    tasks: Mapping[str, Task],
+) -> tuple[list[str], dict[str, list[str]]]:
+    """The Kahn pass behind :func:`topological_order`: the order and the
+    child lists (in task order) it inverted the parent relation into."""
     children: dict[str, list[str]] = {tid: [] for tid in tasks}
     waiting: dict[str, int] = {}
     ready: list[str] = []
@@ -127,7 +147,7 @@ def topological_order(tasks: Mapping[str, Task]) -> list[str]:
                 heapq.heappush(ready, kid)
     if waiting:
         raise DependencyCycleError(f"dependency cycle: {_cycle_path(tasks, waiting)}")
-    return order
+    return order, children
 
 
 def _cycle_path(tasks: Mapping[str, Task], unplaced: Mapping[str, int]) -> str:

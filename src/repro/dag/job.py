@@ -19,6 +19,7 @@ from .graph import (
     critical_path_length,
     enumerate_chains,
     level_partition,
+    order_and_children,
     topological_order,
 )
 from .task import Task
@@ -75,9 +76,12 @@ class Job:
                 raise ValueError(
                     f"task {tid!r} belongs to job {task.job_id!r}, not {self.job_id!r}"
                 )
-        # The acyclicity check is the topological sort; keep its order as
-        # the cached ``topo_order`` so the job is walked once.
-        self.__dict__["topo_order"] = topological_order(self.tasks)
+        # The acyclicity check is the topological sort; keep its order and
+        # the child lists it built as the cached ``topo_order`` and
+        # ``children``, so the job is walked once.
+        order, children = order_and_children(self.tasks)
+        self.__dict__["topo_order"] = order
+        self.__dict__["children"] = children
 
     # -- construction helpers -------------------------------------------
     @classmethod
@@ -101,7 +105,8 @@ class Job:
     # -- derived structure (cached; the dataclass is frozen) -------------
     @cached_property
     def children(self) -> dict[str, tuple[str, ...]]:
-        """Direct dependents of each task (:math:`S_{ij}` of Eq. 12)."""
+        """Direct dependents of each task (:math:`S_{ij}` of Eq. 12);
+        computed by construction's acyclicity check."""
         return build_children_map(self.tasks)
 
     @cached_property

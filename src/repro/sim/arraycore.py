@@ -9,9 +9,10 @@ loops against it:
 
 * **priority scoring** — Eq. 12–13 evaluated for the whole live task set
   in one vectorized pass per (clock, version) generation;
-* **victim/eligibility scans** — the dispatcher's queue scan and the
-  stall-timeout sweep become boolean masks over the columns instead of
-  Python loops over runtime objects, and Algorithm 1's victim-scan
+* **victim/eligibility scans** — the dispatcher's queue scan reads a
+  per-node dispatch index kept in queue order (see below), the
+  stall-timeout sweep is a boolean mask over the columns instead of a
+  Python loop over runtime objects, and Algorithm 1's victim-scan
   signals are derived for every row once per generation (off the
   scoring pass's allowable column), so each further contended node of
   an epoch sweep costs one gather — DSP's Algorithm 1
@@ -21,14 +22,23 @@ loops against it:
   ``TaskView`` signal of the baselines' snapshots for a node in one
   vectorized shot.
 
-Node stamps
------------
-Each node position carries a change stamp (:meth:`ArrayCore.node_stamp`)
-drawn from one counter that never repeats.  It moves whenever something
-the dispatcher's state predicates read for that node may have moved: a
-row on the node re-synced (old and new node both), a child on it lost
-an unfinished parent, node membership changed, or a full resync ran
-(one restamp for all nodes; :meth:`ArrayCore._sync_row` never bumps).
+Dispatch index and node versions
+--------------------------------
+For each node position the core keeps, as ``(planned_start, task_id)``
+lists in ascending order (the ``NodeRuntime`` queue order, Fig. 4), the
+queued rows the dispatcher can start: *ready* rows (no unfinished
+parent) and *held* rows (unfinished parents, not stall-banned — the
+ones a dependency-blind dispatcher starts once their planned start has
+passed).  Membership is a function of the mirrored columns (state,
+node, unfinished parents, ban, planned start), so every path that
+writes those columns (:meth:`ArrayCore._sync_row`, the completion
+mirror, retirement, node resets) refiles the row through
+:meth:`ArrayCore._file`.
+
+Each node position carries a version (:meth:`ArrayCore.node_version`)
+drawn from one counter that never repeats.  It moves only when the
+node's candidate lists change (a row filed in, out or between them) or
+the position itself changes hands (a join reusing it, a node reset).
 The dispatcher's no-op memo (see
 :meth:`~repro.sim.dispatch.DispatchSubsystem.dispatch`) keys on it.
 
@@ -41,9 +51,11 @@ already wrote before emitting, so a missed formula cannot diverge, only
 a missed event can (and the after-every-event oracle in
 ``tests/test_sched_core.py``, which compares every score against a fresh
 :class:`~repro.core.priority.PriorityEvaluator`, exists to catch exactly
-that).  World-shifting events (scheduling rounds, faults, backlog
-re-homing) trigger a full resync — they are rare and may move state
-without per-task events.
+that).  World-shifting events (faults, backlog re-homing, membership)
+trigger a full resync — they are rare and may move state without
+per-task events.  A scheduling round mutates only the tasks of the
+batch it planned, so the dispatcher syncs just those rows
+(:meth:`ArrayCore.sync_tasks`) before announcing the round.
 ``TaskFinished`` additionally mirrors the two *post-emit* mutations the
 completion path performs (decrementing children's unfinished-parent
 counts and the parents' live-dependent counts), because consumers may
@@ -89,6 +101,9 @@ generation-cached victim-scan signals and the dispatch memo's skips,
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right, insort
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -106,12 +121,19 @@ __all__ = ["ArrayCore", "DenseIds"]
 
 # TaskState -> small-int codes for the state column.
 _STATE_CODE = {state: i for i, state in enumerate(TaskState)}
+# The same codes keyed by member value, for the per-row sync: an Enum
+# member hashes through Python code, its value string in C.
+_CODE_OF_VALUE = {state._value_: i for state, i in _STATE_CODE.items()}
 _QUEUED = _STATE_CODE[TaskState.QUEUED]
 _RUNNING = _STATE_CODE[TaskState.RUNNING]
 _STALLED = _STATE_CODE[TaskState.STALLED]
 _COMPLETED = _STATE_CODE[TaskState.COMPLETED]
+_QUEUED_STATE = TaskState.QUEUED
 
 _NAN = float("nan")
+
+#: Sort key of a dispatch-index entry's planned start.
+_PLANNED = itemgetter(0)
 
 #: Floor applied to remaining time before taking its reciprocal (mirrors
 #: :data:`repro.core.priority._REMAINING_FLOOR`).
@@ -140,13 +162,14 @@ _TASK_EVENTS = (
 )
 
 #: Events after which whole-world signals may have shifted — node rates
-#: (mean-rate consumers), queue re-homing (per-task node lookups) or a
-#: scheduling round planning a fresh batch: the whole mirror resyncs.
-#: ``TaskRetimed`` lives here, not with the task events: it only fires
-#: after ``retime_node`` changed the *node's* rate, which moves the
-#: scores of every task assigned to that node — queued ones included.
+#: (mean-rate consumers) or queue re-homing (per-task node lookups): the
+#: whole mirror resyncs.  ``TaskRetimed`` lives here, not with the task
+#: events: it only fires after ``retime_node`` changed the *node's*
+#: rate, which moves the scores of every task assigned to that node —
+#: queued ones included.  ``RoundTick`` is not here: a round touches only
+#: its batch, whose rows the dispatcher syncs before emitting it
+#: (:meth:`ArrayCore.sync_tasks`).
 _WORLD_EVENTS = (
-    k.RoundTick,
     k.FaultInjected,
     k.NodeFailed,
     k.NodeRecovered,
@@ -279,11 +302,17 @@ class ArrayCore:
         )
         self._node_rate = np.zeros(len(self._node_list))
         self._node_free: list[int] = []
-        # Per-node change stamps (see node_stamp), drawn from one counter
-        # that only ever increases, so no stamp value is ever reissued.
-        self._stamp_clock = 0
-        self._node_stamp: list[int] = []
-        self._restamp_all()
+        # Per-node versions (see node_version), drawn from one counter
+        # that only ever increases, so no version is ever reissued.
+        self._version_clock = 0
+        self._node_version: list[int] = []
+        # Dispatch index, per node position: ready and held rows as
+        # sorted (planned_start, task_id) lists (see the module docstring);
+        # per row, its entry in them (see _file), or None.
+        self._ready: list[list[tuple[float, str]]] = []
+        self._held: list[list[tuple[float, str]]] = []
+        self._entry: list[tuple | None] = []
+        self._reset_index()
 
         # Score cache, valid for one (clock, version) generation, plus the
         # generation's allowable-wait column (Eq. 13's third term).
@@ -345,7 +374,9 @@ class ArrayCore:
         state = self._rt.state
         for tid in job.tasks:
             row = rows[tid]
-            self._sync_row(row, state.tasks[tid])
+            t = state.tasks[tid]
+            self._write_static(row, t)
+            self._sync_row(row, t)
             self._live_deps[row] = len(self._child_rows[row])
         self._levels_stale = True
         self._version += 1
@@ -406,14 +437,22 @@ class ArrayCore:
         self._live_deps = ext(self._live_deps, 0)
         self._preempt_count = ext(self._preempt_count, 0)
         self._banned = ext(self._banned, False)
+        self._entry.extend([None] * grown)
         self._child_rows.extend([] for _ in range(grown))
         self._height.extend([0] * grown)
         self._cap = new_cap
 
     # ------------------------------------------------------- row sync
-    def _sync_row(self, row: int, t) -> None:
-        """Copy one TaskRuntime's mirrored fields into its row."""
+    def _write_static(self, row: int, t) -> None:
+        """Copy the fields a run never changes (size, deadline) into
+        *t*'s row: on registration, and on restore, which rebuilds
+        runtimes; :meth:`_sync_row` skips them."""
         self._size[row] = t.task.size_mi
+        self._deadline[row] = t.deadline
+
+    def _sync_row(self, row: int, t) -> None:
+        """Copy one TaskRuntime's mutable mirrored fields into its row
+        and refile the row in the dispatch index when its entry moved."""
         self._work[row] = t.work_done_mi
         self._run_start[row] = _NAN if t.run_start is None else t.run_start
         self._cur_recovery[row] = t.current_recovery
@@ -422,60 +461,85 @@ class ArrayCore:
             _NAN if t.queued_since is None else t.queued_since
         )
         self._total_wait[row] = t.total_wait
-        self._deadline[row] = t.deadline
         self._planned[row] = t.planned_start
         self._stall_start[row] = (
             _NAN if t.stall_start is None else t.stall_start
         )
-        self._state[row] = _STATE_CODE[t.state]
+        state = t.state
+        self._state[row] = _CODE_OF_VALUE[state._value_]
         # .get: completed tasks keep their node_id, which may name a
         # node decommissioned since — the -1 is garbage nothing reads.
-        self._node[row] = (
-            -1 if t.node_id is None else self._node_pos.get(t.node_id, -1)
-        )
-        self._unfinished[row] = t.unfinished_parents
+        pos = -1 if t.node_id is None else self._node_pos.get(t.node_id, -1)
+        self._node[row] = pos
+        unfinished = t.unfinished_parents
+        self._unfinished[row] = unfinished
         self._preempt_count[row] = t.preempt_count
-        self._banned[row] = t.stall_banned
+        banned = t.stall_banned
+        self._banned[row] = banned
+        entry = None
+        if state is _QUEUED_STATE and pos >= 0:
+            if not unfinished:
+                entry = (pos, False, (t.planned_start, t.task.task_id))
+            elif not banned:
+                entry = (pos, True, (t.planned_start, t.task.task_id))
+        if entry != self._entry[row]:
+            self._file(row, entry)
+
+    def _file(self, row: int, entry: tuple | None) -> None:
+        """Move *row* from its current dispatch-index entry to *entry* —
+        ``(pos, held, key)`` with key ``(planned_start, task_id)``, or
+        None for no list — bumping the version of every node whose
+        lists change.  Callers pass only an entry that differs."""
+        old = self._entry[row]
+        if old is not None:
+            pos = old[0]
+            lst = (self._held if old[1] else self._ready)[pos]
+            del lst[bisect_left(lst, old[2])]
+            self._bump(pos)
+        if entry is not None:
+            pos = entry[0]
+            insort((self._held if entry[1] else self._ready)[pos], entry[2])
+            if old is None or old[0] != pos:
+                self._bump(pos)
+        self._entry[row] = entry
 
     def _sync_task(self, task_id: str) -> None:
         row = self._row_of.get(task_id)
         if row is None:
             return  # retired with its job (e.g. a late speculation event)
-        self._sync_stamped(row, self._rt.state.tasks[task_id])
+        self._sync_row(row, self._rt.state.tasks[task_id])
 
-    def _sync_stamped(self, row: int, t) -> None:
-        """:meth:`_sync_row` plus a stamp bump on the row's node before
-        and after the sync (a task leaving one queue and joining another
-        changes what both nodes can dispatch).  Full resyncs restamp
-        every node once instead, which is why :meth:`_sync_row` itself
-        never bumps."""
-        old = int(self._node[row])
-        self._sync_row(row, t)
-        new = int(self._node[row])
-        self._bump(old)
-        if new != old:
-            self._bump(new)
+    def sync_tasks(self, task_ids: Iterable[str]) -> None:
+        """Re-read *task_ids* into their rows: the targeted sync of a
+        scheduling round, which mutates only the tasks of the batch it
+        planned."""
+        for tid in task_ids:
+            self._sync_task(tid)
+        self._version += 1
+        self.invalidations += 1
 
     def _bump(self, pos: int) -> None:
-        """Give node position *pos* a fresh stamp (no-op for the -1 of
-        unassigned rows)."""
-        if pos >= 0:
-            self._stamp_clock += 1
-            self._node_stamp[pos] = self._stamp_clock
+        """Give node position *pos* a fresh version."""
+        self._version_clock += 1
+        self._node_version[pos] = self._version_clock
 
-    def _restamp_all(self) -> None:
-        """One fresh stamp for every node position."""
-        self._stamp_clock += 1
-        self._node_stamp = [self._stamp_clock] * len(self._node_list)
+    def _reset_index(self) -> None:
+        """Empty dispatch lists and one fresh version for every node
+        position; every row leaves the index."""
+        self._version_clock += 1
+        count = len(self._node_list)
+        self._node_version = [self._version_clock] * count
+        self._ready = [[] for _ in range(count)]
+        self._held = [[] for _ in range(count)]
+        self._entry = [None] * self._cap
 
-    def node_stamp(self, node: "NodeRuntime") -> int:
-        """*node*'s change stamp.  It moves whenever anything the
-        dispatcher's state predicates read for the node's queue may have
-        moved: a row on the node re-synced, a child's unfinished-parent
-        count dropped, node membership changed, or a full resync ran.
-        Stamps are never reissued (one counter feeds them all), so a
-        re-joined node id or a rebuilt mirror cannot match a stale one."""
-        return self._node_stamp[self._node_pos[node.node_id]]
+    def node_version(self, node: "NodeRuntime") -> int:
+        """*node*'s dispatch version.  It moves whenever the node's
+        candidate lists change or its position changes hands (a join
+        reusing the slot, a node reset).  Versions are never reissued
+        (one counter feeds them all), so a re-joined node id or a
+        rebuilt mirror cannot match a stale one."""
+        return self._node_version[self._node_pos[node.node_id]]
 
     def _on_task_event(self, event) -> None:
         self._sync_task(event.task_id)
@@ -491,7 +555,7 @@ class ArrayCore:
         row = self._row_of.get(tid)
         state = self._rt.state
         if row is not None:
-            self._sync_stamped(row, state.tasks[tid])
+            self._sync_row(row, state.tasks[tid])
         # Mirror the two mutations the completion path performs *after*
         # emitting TaskFinished (see DispatchSubsystem.finalize_completion):
         # children lose an unfinished parent, parents lose a live dependent.
@@ -500,7 +564,12 @@ class ArrayCore:
             crow = row_of.get(child)
             if crow is not None:
                 self._unfinished[crow] -= 1
-                self._bump(int(self._node[crow]))
+                if self._unfinished[crow] == 0 and self._state[crow] == _QUEUED:
+                    # Held (or banned) -> ready on the same node.
+                    pos = int(self._node[crow])
+                    if pos >= 0:
+                        key = (float(self._planned[crow]), child)
+                        self._file(crow, (pos, False, key))
         for parent in state.static_tasks[tid].parents:
             prow = row_of.get(parent)
             if prow is not None:
@@ -531,6 +600,8 @@ class ArrayCore:
             row = self._row_of.pop(tid, None)
             if row is None:
                 continue
+            if self._entry[row] is not None:
+                self._file(row, None)
             self._id_of[row] = None
             self._child_rows[row] = []
             self._height[row] = 0
@@ -561,7 +632,6 @@ class ArrayCore:
         for tid, row in self._row_of.items():
             self._sync_row(row, tasks[tid])
         self._version += 1
-        self._restamp_all()
 
     # ------------------------------------------------- elastic membership
     def add_node(self, node: "NodeRuntime") -> None:
@@ -574,7 +644,9 @@ class ArrayCore:
             pos = len(self._node_list)
             self._node_list.append(node)
             self._node_rate = np.append(self._node_rate, 0.0)
-            self._node_stamp.append(0)
+            self._node_version.append(0)
+            self._ready.append([])
+            self._held.append([])
         self._node_pos[node.node_id] = pos
         self._bump(pos)
         self._version += 1
@@ -593,14 +665,16 @@ class ArrayCore:
         """Rebuild the position table from the current (possibly
         reconciled) node set.  Positions are internal bookkeeping —
         nothing observable depends on them — so the restore path packs
-        the live nodes densely instead of replaying churn history."""
+        the live nodes densely instead of replaying churn history.  Rows
+        then resync against the new table, which refiles the dispatch
+        index from scratch."""
         state = self._rt.state
         self._node_pos = {nid: i for i, nid in enumerate(state.nodes)}
         self._node_list = list(state.nodes.values())
         self._node_rate = np.zeros(len(self._node_list))
         self._node_free = []
-        self._restamp_all()
-        self._version += 1
+        self._reset_index()
+        self.resync()
 
     # ------------------------------------------------------------- scoring
     def _ensure_scores(self, now: float) -> bool:
@@ -761,25 +835,15 @@ class ArrayCore:
         the exact ``NodeRuntime`` bisect order.  The per-task retry gate
         and capacity check stay with the caller (they read live object
         state that changes mid-loop)."""
-        n = self._ids.capacity
         pos = self._node_pos[node.node_id]
-        mask = (self._state[:n] == _QUEUED) & (self._node[:n] == pos)
-        if dependency_aware:
-            mask &= self._unfinished[:n] == 0
-        else:
-            gate = now + EPS
-            mask &= (self._unfinished[:n] == 0) | (
-                ~self._banned[:n] & (gate >= self._planned[:n])
-            )
-        rows = np.nonzero(mask)[0]
-        if not len(rows):
-            return []
-        planned = self._planned.take(rows).tolist()
-        id_of = self._id_of
-        cand = sorted(
-            (planned[i], id_of[r]) for i, r in enumerate(rows.tolist())
-        )
-        return [tid for _, tid in cand]
+        ready = self._ready[pos]
+        if not dependency_aware:
+            held = self._held[pos]
+            passed = bisect_right(held, now + EPS, key=_PLANNED)
+            if passed:
+                # Two sorted runs: timsort merges them in one pass.
+                ready = sorted(ready + held[:passed])
+        return [tid for _, tid in ready]
 
     def blind_wake(self, node: "NodeRuntime", now: float) -> float:
         """Earliest planned start among *node*'s queued, unrunnable,
@@ -787,17 +851,9 @@ class ArrayCore:
         at *now* (``inf`` when none): the first instant at which the
         blind :meth:`dispatch_candidates` can grow without a row
         change."""
-        n = self._ids.capacity
-        pos = self._node_pos[node.node_id]
-        planned = self._planned[:n]
-        held = (
-            (self._state[:n] == _QUEUED)
-            & (self._node[:n] == pos)
-            & (self._unfinished[:n] != 0)
-            & ~self._banned[:n]
-            & (now + EPS < planned)
-        )
-        return float(planned[held].min()) if held.any() else np.inf
+        held = self._held[self._node_pos[node.node_id]]
+        first = bisect_right(held, now + EPS, key=_PLANNED)
+        return float(held[first][0]) if first < len(held) else math.inf
 
     def stall_timeout_candidates(
         self, now: float, timeout: float
@@ -922,13 +978,13 @@ class ArrayCore:
         contract).
 
         Raises ``repro.sim.snapshot.SnapshotError`` on any mismatch —
-        a wrong row mapping or a live-dependent count that disagrees with
-        the restored task states.
+        a wrong row mapping, a live-dependent count that disagrees with
+        the restored task states, or a node's dispatch lists that
+        disagree with its restored queue.
         """
         from .snapshot import SnapshotError  # local: avoid import cycle
 
         state = self._rt.state
-        self.reset_nodes()
         # Row mapping must be a bijection over registered, un-retired tasks.
         for tid, row in self._row_of.items():
             if not 0 <= row < self._ids.capacity or self._id_of[row] != tid:
@@ -936,7 +992,28 @@ class ArrayCore:
                     f"array-core rebuild mismatch: task {tid!r} maps to row "
                     f"{row} but the row maps back to {self._id_of[row]!r}"
                 )
-        self.resync()
+        for tid, row in self._row_of.items():
+            self._write_static(row, state.tasks[tid])
+        self.reset_nodes()  # resyncs every row and refiles the index
+        # Dispatch index: each node's lists re-derived from its restored
+        # queue (already in (planned_start, task_id) order).
+        for nid, node in state.nodes.items():
+            ready, held = [], []
+            for tid in node.queued_ids():
+                task = state.tasks[tid]
+                if task.state is not TaskState.QUEUED:
+                    continue
+                key = (task.planned_start, tid)
+                if task.unfinished_parents == 0:
+                    ready.append(key)
+                elif not task.stall_banned:
+                    held.append(key)
+            pos = self._node_pos[nid]
+            if self._ready[pos] != ready or self._held[pos] != held:
+                raise SnapshotError(
+                    f"array-core rebuild mismatch: node {nid!r} dispatch "
+                    f"index diverged from its restored queue"
+                )
         # Live-dependent counts: re-derive from scratch and assert against
         # the incrementally-maintained column.
         for tid, row in self._row_of.items():

@@ -43,7 +43,7 @@ class DispatchSubsystem:
     def __init__(self, runtime: SimRuntime) -> None:
         self._rt = runtime
         self._wakes: set[str] = set()  # nodes peers asked to re-dispatch
-        # node id -> (stamp, free capacity, wake) of its last walk that
+        # node id -> (version, free capacity, wake) of its last walk that
         # started nothing (see dispatch).
         self._idle: dict[str, tuple] = {}
 
@@ -108,6 +108,9 @@ class DispatchSubsystem:
                     f"scheduler left tasks unassigned: {sorted(missing)[:3]} "
                     f"({rt.kernel.position()})"
                 )
+            # The round mutated only the batch's tasks: sync just their
+            # mirror rows (not the whole mirror) before announcing it.
+            rt.array.sync_tasks(plan.assignments)
             rt.bus.emit(
                 RoundTick(rt.now, len(batch), sum(len(j.tasks) for j in batch))
             )
@@ -136,10 +139,11 @@ class DispatchSubsystem:
         parents are unfinished — a disorder).
 
         A walk that starts nothing leaves a memo (the node's array-core
-        stamp, its free capacity, and a wake instant); a later call whose
-        stamp and free capacity are unchanged and whose clock is still
-        before the wake returns without walking, because the walk would
-        start nothing again.  The wake is the earliest instant a skipped
+        version, its free capacity, and a wake instant); a later call
+        whose version and free capacity are unchanged and whose clock is
+        still before the wake returns without walking, because the walk
+        would start nothing again: the version moves whenever the node's
+        candidate lists change.  The wake is the earliest instant a skipped
         candidate's retry backoff ends or, dependency-blind, a held-back
         task's planned start passes.  The memo is derived state: a run
         resumed with an empty memo decides identically."""
@@ -150,18 +154,18 @@ class DispatchSubsystem:
             return
         now = rt.now
         core = rt.array
-        stamp = core.node_stamp(node)
+        version = core.node_version(node)
         idle = self._idle.get(node.node_id)
         if (
             idle is not None
-            and idle[0] == stamp
+            and idle[0] == version
             and idle[1] is node.free
             and now + EPS < idle[2]
         ):
             return
-        # Candidates come off the array mirror in queue order
-        # ((planned_start, task_id)), already filtered by the state
-        # predicates.  The retry gate and the capacity check stay
+        # Candidates come off the array core's per-node dispatch index in
+        # queue order ((planned_start, task_id)), already filtered by the
+        # state predicates.  The retry gate and the capacity check stay
         # per-candidate: they read live state that changes as earlier
         # candidates start.
         started = False
@@ -178,7 +182,7 @@ class DispatchSubsystem:
         if not started:
             if not rt.dependency_aware:
                 wake = min(wake, core.blind_wake(node, now))
-            self._idle[node.node_id] = (stamp, node.free, wake)
+            self._idle[node.node_id] = (version, node.free, wake)
 
     def start_task(self, task: TaskRuntime, node: NodeRuntime) -> None:
         """Move a queued task onto the node (RUNNING, or STALLED when its

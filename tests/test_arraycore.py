@@ -22,7 +22,13 @@ This module covers the substrate underneath:
   for bit, in a chaos run and a streaming run with retirement.
 * **Dispatch-memo oracle** — every dispatch call the no-op memo skips is
   re-checked by a reference walk that must find nothing startable, in
-  batch, chaos-with-backoff, elastic and dependency-blind runs.
+  batch, chaos-with-backoff, elastic and dependency-blind runs; node
+  versions never repeat across a re-join or a rebuild.
+* **Dispatch-index oracle** — at every dispatch call, the per-node index's
+  ordered candidates (both gates) and blind wake equal the whole-window
+  mask-and-sort over the columns that the index replaced, in DSP batch,
+  dependency-blind, chaos-with-backoff, elastic and streaming-retirement
+  runs.
 * **Retirement** — a completed job's rows return to the free list, and a
   streaming-admitted successor reuses them without aliasing.
 * **Rebuild** — ``rebuild_and_assert`` (the restore-path guard) passes
@@ -39,6 +45,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,7 +57,17 @@ from repro.core.preemption import DSPPreemption
 from repro.dag import Job, Task
 from repro.dag.task import TaskState
 from repro.sim import MembershipEvent, SimEngine
-from repro.sim.arraycore import _RUNNING, _STALLED, _STATE_CODE, ArrayCore, DenseIds
+from repro.baselines import AmoebaPreemption
+from repro.sim.arraycore import (
+    _QUEUED,
+    _RUNNING,
+    _STALLED,
+    _STATE_CODE,
+    ArrayCore,
+    DenseIds,
+)
+from repro.sim.executor import NodeRuntime
+from repro.sim.snapshot import SnapshotError
 from repro.sim.kernel import EpochTick
 from repro.sim.views import VIEW_QUEUE_LIMIT
 
@@ -427,6 +444,55 @@ def _lane_event(time: float, action: str, node_id: str) -> MembershipEvent:
     )
 
 
+def _elastic_engine() -> tuple[SimEngine, int]:
+    """Autoscaled joins and drains on one-slot nodes, plus a scripted
+    drain of n1 and a later re-join under the same id; returns the
+    engine and its task count."""
+    jobs = [_chain_job(f"J{j}", 6) for j in range(4)] + [
+        Job.from_tasks(
+            "W",
+            [
+                Task(
+                    task_id=f"W.t{i}", job_id="W", size_mi=20000.0,
+                    demand=ResourceVector(cpu=1.0, mem=0.5),
+                )
+                for i in range(16)
+            ],
+            deadline=1e9,
+        )
+    ]
+    cluster = _one_lane(3)
+    engine = SimEngine(
+        cluster,
+        jobs,
+        HeuristicScheduler(cluster),
+        sim_config=SimConfig(
+            epoch=1.0, scheduling_period=10.0, invariants="strict"
+        ),
+        membership=[
+            _lane_event(5.0, "drain", "n1"),
+            _lane_event(40.0, "join", "n1"),
+        ],
+        elastic=ElasticConfig(
+            autoscale=True, check_period=5.0,
+            scale_up_queue_depth=3.0, scale_up_sustain=10.0,
+            scale_down_idle_nodes=1, scale_down_sustain=30.0,
+            cooldown=20.0, min_nodes=1, max_nodes=5,
+            join_delay=5.0, drain_step=2.0,
+        ),
+    )
+    return engine, sum(len(j.tasks) for j in jobs)
+
+
+def _assert_elastic_run(engine: SimEngine, tasks: int) -> None:
+    """Run the elastic engine and check the churn it was built for."""
+    metrics = engine.run()
+    assert metrics.tasks_completed == tasks
+    assert metrics.nodes_joined >= 2, metrics.nodes_joined
+    assert metrics.nodes_decommissioned >= 1
+    assert "n1" in engine.runtime.state.nodes
+
+
 class TestDispatchMemo:
     def test_batch_dsp(self):
         cfg = DSPConfig()
@@ -468,48 +534,9 @@ class TestDispatchMemo:
     def test_elastic_autoscale_with_rejoined_node(self):
         """Joins and drains from the autoscaler, plus a scripted drain of
         n1 and a later re-join under the same id."""
-        jobs = [
-            _chain_job(f"J{j}", 6)
-            for j in range(4)
-        ] + [
-            Job.from_tasks(
-                "W",
-                [
-                    Task(
-                        task_id=f"W.t{i}", job_id="W", size_mi=20000.0,
-                        demand=ResourceVector(cpu=1.0, mem=0.5),
-                    )
-                    for i in range(16)
-                ],
-                deadline=1e9,
-            )
-        ]
-        cluster = _one_lane(3)
-        engine = SimEngine(
-            cluster,
-            jobs,
-            HeuristicScheduler(cluster),
-            sim_config=SimConfig(
-                epoch=1.0, scheduling_period=10.0, invariants="strict"
-            ),
-            membership=[
-                _lane_event(5.0, "drain", "n1"),
-                _lane_event(40.0, "join", "n1"),
-            ],
-            elastic=ElasticConfig(
-                autoscale=True, check_period=5.0,
-                scale_up_queue_depth=3.0, scale_up_sustain=10.0,
-                scale_down_idle_nodes=1, scale_down_sustain=30.0,
-                cooldown=20.0, min_nodes=1, max_nodes=5,
-                join_delay=5.0, drain_step=2.0,
-            ),
-        )
+        engine, tasks = _elastic_engine()
         seen = _memo_oracle(engine)
-        metrics = engine.run()
-        assert metrics.tasks_completed == sum(len(j.tasks) for j in jobs)
-        assert metrics.nodes_joined >= 2, metrics.nodes_joined
-        assert metrics.nodes_decommissioned >= 1
-        assert "n1" in engine.runtime.state.nodes
+        _assert_elastic_run(engine, tasks)
         assert seen["skips"] > 0, seen
 
     def test_dependency_blind_stall_timeout(self):
@@ -528,15 +555,47 @@ class TestDispatchMemo:
         rt = engine.runtime
         core = rt.array
         node = next(iter(rt.state.nodes.values()))
-        seen = {core.node_stamp(node)}
+        seen = {core.node_version(node)}
         for _ in range(3):
             core.remove_node(node.node_id)
             core.add_node(node)
-            stamp = core.node_stamp(node)
+            stamp = core.node_version(node)
             assert stamp not in seen
             seen.add(stamp)
         core.rebuild_and_assert()
-        assert core.node_stamp(node) not in seen
+        assert core.node_version(node) not in seen
+
+    def test_version_counter_never_restarts(self):
+        """A node id that leaves and re-joins as a new ``NodeRuntime``,
+        and every node after a restore rebuild, gets a version above any
+        issued before — so no earlier memo entry can match it, as one
+        could if versions restarted at 0 per node."""
+        engine = _faulty_engine(0, DSPConfig(), batch=False)
+        rt = engine.runtime
+        core = rt.array
+        memo = rt.dispatch._idle
+        while not memo and engine.pump(50):
+            pass
+        assert memo, "no walk left a memo"
+
+        def issued() -> int:
+            return max(core.node_version(n) for n in rt.state.nodes.values())
+
+        high = issued()
+        core.rebuild_and_assert()
+        for nid, node in rt.state.nodes.items():
+            assert core.node_version(node) > high, nid
+            if nid in memo:
+                assert memo[nid][0] != core.node_version(node), nid
+
+        nid = next(iter(memo))
+        old = rt.state.nodes[nid]
+        high = issued()
+        core.remove_node(nid)
+        fresh = NodeRuntime(old.spec, old.rate)
+        core.add_node(fresh)
+        assert core.node_version(fresh) > high
+        assert memo[nid][0] != core.node_version(fresh)
 
 
 # ----------------------------------------------------------- retirement
@@ -595,3 +654,154 @@ class TestRetirement:
         assert metrics.jobs_completed == 2
         assert core._row_of == {}
         assert core._ids.free_count == cap_a
+
+
+# ------------------------------------------------- dispatch-index oracle
+def _masked_candidates(
+    core: ArrayCore, node, now: float, dependency_aware: bool
+) -> list[str]:
+    """The dispatch scan as a whole-window mask over the columns and a
+    sort of the survivors — the scan the per-node index replaced."""
+    n = core._ids.capacity
+    pos = core._node_pos[node.node_id]
+    mask = (core._state[:n] == _QUEUED) & (core._node[:n] == pos)
+    if dependency_aware:
+        mask &= core._unfinished[:n] == 0
+    else:
+        gate = now + EPS
+        mask &= (core._unfinished[:n] == 0) | (
+            ~core._banned[:n] & (gate >= core._planned[:n])
+        )
+    rows = np.nonzero(mask)[0]
+    planned = core._planned.take(rows).tolist()
+    cand = sorted(
+        (planned[i], core._id_of[r]) for i, r in enumerate(rows.tolist())
+    )
+    return [tid for _, tid in cand]
+
+
+def _masked_wake(core: ArrayCore, node, now: float) -> float:
+    """The blind wake as a whole-window mask: earliest planned start of
+    the node's queued, unrunnable, unbanned rows still held at *now*."""
+    n = core._ids.capacity
+    pos = core._node_pos[node.node_id]
+    planned = core._planned[:n]
+    held = (
+        (core._state[:n] == _QUEUED)
+        & (core._node[:n] == pos)
+        & (core._unfinished[:n] != 0)
+        & ~core._banned[:n]
+        & (now + EPS < planned)
+    )
+    return float(planned[held].min()) if held.any() else math.inf
+
+
+def _index_oracle(engine: SimEngine) -> dict[str, int]:
+    """Wrap the engine's dispatcher so that every call first checks the
+    index's candidates under both gates, and its blind wake, against
+    the whole-window references."""
+    rt = engine.runtime
+    core = rt.array
+    disp = rt.dispatch
+    real_dispatch = disp.dispatch
+    seen = {"calls": 0, "candidates": 0, "blind_extra": 0, "wakes": 0}
+
+    def checked_dispatch(node):
+        if node.node_id in core._node_pos:
+            now = rt.now
+            where = (now, node.node_id)
+            aware = core.dispatch_candidates(node, now, True)
+            assert aware == _masked_candidates(core, node, now, True), where
+            blind = core.dispatch_candidates(node, now, False)
+            assert blind == _masked_candidates(core, node, now, False), where
+            wake = core.blind_wake(node, now)
+            assert wake == _masked_wake(core, node, now), where
+            seen["calls"] += 1
+            seen["candidates"] += bool(aware)
+            seen["blind_extra"] += len(blind) > len(aware)
+            seen["wakes"] += wake < math.inf
+        real_dispatch(node)
+
+    disp.dispatch = checked_dispatch
+    return seen
+
+
+class TestDispatchIndex:
+    def test_dsp_batch(self):
+        cfg = DSPConfig()
+        cluster, workload, deadlines, _faults = _chaos_inputs(1, cfg)
+        engine = _engine(
+            cluster, workload.jobs, deadlines, True,
+            preemption=DSPPreemption(cfg), dsp_config=cfg,
+            sim_config=_sim_cfg(),
+        )
+        seen = _index_oracle(engine)
+        engine.run()
+        assert seen["candidates"] > 0, seen
+
+    def test_dependency_blind_amoeba(self):
+        """Amoeba dispatches blind: held rows past their planned start
+        join the candidates, and their planned starts set the wake."""
+        cfg = DSPConfig()
+        cluster, workload, deadlines, _faults = _chaos_inputs(3, cfg)
+        engine = _engine(
+            cluster, workload.jobs, deadlines, True,
+            preemption=AmoebaPreemption(), dsp_config=cfg,
+            sim_config=_sim_cfg(), stall_timeout=1.0,
+        )
+        assert not engine.runtime.dependency_aware
+        seen = _index_oracle(engine)
+        engine.run()
+        assert seen["blind_extra"] > 0, seen
+        assert seen["wakes"] > 0, seen
+
+    def test_chaos_with_retry_backoff(self):
+        cfg = DSPConfig()
+        cluster, workload, deadlines, faults = _chaos_inputs(2, cfg)
+        engine = _engine(
+            cluster, workload.jobs, deadlines, True,
+            preemption=DSPPreemption(cfg), dsp_config=cfg,
+            sim_config=_sim_cfg(), faults=faults,
+            resilience=ResilienceConfig(max_attempts=12, backoff_base=8.0),
+        )
+        seen = _index_oracle(engine)
+        engine.run()
+        assert seen["candidates"] > 0, seen
+
+    def test_elastic_drain_and_rejoin(self):
+        engine, tasks = _elastic_engine()
+        seen = _index_oracle(engine)
+        _assert_elastic_run(engine, tasks)
+        assert seen["candidates"] > 0, seen
+
+    def test_streaming_with_retirement(self):
+        cfg = DSPConfig()
+        cluster, workload, deadlines, _faults = _chaos_inputs(5, cfg)
+        engine = _engine(
+            cluster, workload.jobs, deadlines, False,
+            preemption=DSPPreemption(cfg), dsp_config=cfg,
+            sim_config=dataclasses.replace(_sim_cfg(), retire_completed=True),
+        )
+        seen = _index_oracle(engine)
+        metrics = _drive(engine)
+        assert metrics.jobs_completed == len(workload.jobs)
+        assert engine.runtime.array._ids.free_count > 0, "nothing retired"
+        assert seen["candidates"] > 0, seen
+
+    def test_rebuild_rejects_queue_divergence(self):
+        """``rebuild_and_assert`` re-derives each node's lists from its
+        restored queue: a queued task missing from its node's queue is
+        a mismatch."""
+        engine = _faulty_engine(0, DSPConfig(), batch=False)
+        rt = engine.runtime
+        core = rt.array
+        node = None
+        while node is None and engine.pump(20):
+            node = next(
+                (n for n in rt.state.nodes.values() if n.queue_length), None
+            )
+        assert node is not None, "no node ever held a queue"
+        core.rebuild_and_assert()  # consistent: passes
+        node._queue.pop()
+        with pytest.raises(SnapshotError, match="dispatch index"):
+            core.rebuild_and_assert()

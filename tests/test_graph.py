@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.dag import (
     DependencyCycleError,
+    Job,
     Task,
     UnknownParentError,
     build_children_map,
@@ -13,6 +14,7 @@ from repro.dag import (
     descendants_by_depth,
     enumerate_chains,
     level_partition,
+    order_and_children,
     topological_order,
     validate_acyclic,
 )
@@ -198,6 +200,20 @@ class TestKahnOracle:
         tasks = tasks_of(ids, parents)
         assert topological_order(tasks) == reference_order(tasks)
         validate_acyclic(tasks)  # no raise
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(drawn_dags())
+    def test_one_pass_children_match_inversion(self, dag):
+        """The Kahn pass's child lists, and a job's cached children, are
+        the same sorted tuples as a separate inversion."""
+        ids, parents = dag
+        tasks = tasks_of(ids, parents)
+        order, children = order_and_children(tasks)
+        assert order == topological_order(tasks)
+        assert children == build_children_map(tasks)
+        job = Job("j", tasks, deadline=1.0)
+        assert job.children == children
+        assert job.topo_order == order
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(drawn_dags(), st.data())
