@@ -260,13 +260,19 @@ def descendants_by_depth(
 
 
 def critical_path_length(
-    tasks: Mapping[str, Task], exec_time: Mapping[str, float]
+    tasks: Mapping[str, Task],
+    exec_time: Mapping[str, float],
+    order: Iterable[str] | None = None,
 ) -> float:
     """Length of the longest path through the DAG when each task *t* costs
     ``exec_time[t]`` — the lower bound on any schedule's makespan and the
-    basis of the per-level deadline computation."""
+    basis of the per-level deadline computation.
+
+    *order* is a topological order of *tasks* the caller already holds
+    (parents first); without it one is computed.
+    """
     finish: dict[str, float] = {}
-    for tid in topological_order(tasks):
+    for tid in topological_order(tasks) if order is None else order:
         start = max((finish[p] for p in tasks[tid].parents), default=0.0)
         finish[tid] = start + exec_time[tid]
     return max(finish.values(), default=0.0)

@@ -61,13 +61,7 @@ class Job:
             raise ValueError("job_id must be non-empty")
         if not self.tasks:
             raise ValueError(f"job {self.job_id!r} must contain at least one task")
-        check_positive(self.deadline, "deadline")
-        check_non_negative(self.arrival_time, "arrival_time")
-        if self.deadline <= self.arrival_time:
-            raise ValueError(
-                f"job {self.job_id!r}: deadline ({self.deadline}) must be after "
-                f"arrival ({self.arrival_time})"
-            )
+        self._check_times(self.arrival_time, self.deadline)
         object.__setattr__(self, "tasks", dict(self.tasks))
         for tid, task in self.tasks.items():
             if tid != task.task_id:
@@ -82,6 +76,15 @@ class Job:
         order, children = order_and_children(self.tasks)
         self.__dict__["topo_order"] = order
         self.__dict__["children"] = children
+
+    def _check_times(self, arrival_time: float, deadline: float) -> None:
+        check_positive(deadline, "deadline")
+        check_non_negative(arrival_time, "arrival_time")
+        if deadline <= arrival_time:
+            raise ValueError(
+                f"job {self.job_id!r}: deadline ({deadline}) must be after "
+                f"arrival ({arrival_time})"
+            )
 
     # -- construction helpers -------------------------------------------
     @classmethod
@@ -101,6 +104,19 @@ class Job:
             arrival_time=arrival_time,
             weight=weight,
         )
+
+    def retimed(self, arrival_time: float, deadline: float) -> "Job":
+        """This job with a new arrival time and deadline.
+
+        Only the times are checked: the tasks, and every structure cached
+        from them, are shared with this job, which already validated them.
+        """
+        self._check_times(arrival_time, deadline)
+        job = object.__new__(type(self))
+        job.__dict__.update(self.__dict__)
+        job.__dict__["arrival_time"] = arrival_time
+        job.__dict__["deadline"] = deadline
+        return job
 
     # -- derived structure (cached; the dataclass is frozen) -------------
     @cached_property

@@ -49,7 +49,6 @@ diverge in *admission order* (never in correctness).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from pathlib import Path
@@ -551,9 +550,7 @@ class StreamingFrontier:
         now = self._engine.now
         if job.arrival_time < now:
             delta = now - job.arrival_time
-            job = dataclasses.replace(
-                job, arrival_time=now, deadline=job.deadline + delta
-            )
+            job = job.retimed(now, job.deadline + delta)
         self._engine.submit_job(job, self._deadlines)
         self.admitted += 1
         self.admitted_tasks += len(job.tasks)

@@ -54,7 +54,10 @@ def infer_dependencies(
     Tasks whose window overlaps every earlier window become roots.
 
     The result is guaranteed acyclic: a parent's execution window ends
-    strictly before the child's begins, so edges follow time.
+    strictly before the child's begins, so edges follow time.  Its keys
+    run in start-time order (ties by index), and a parent is only ever
+    chosen from records already visited, so the key order is a
+    topological order of the inferred DAG.
     """
     if not records:
         return {}

@@ -197,10 +197,15 @@ def job_from_records(
             parents=tuple(tid_of[p] for p in parent_map[rec.task_index]),
         )
     exec_time = {tid: t.execution_time(reference_rate_mips) for tid, t in tasks.items()}
+    # The parent map is keyed in start-time order, which is topological:
+    # a parent ends before its child starts.
+    critical = critical_path_length(
+        tasks, exec_time, order=[tid_of[i] for i in parent_map]
+    )
     return Job(
         job_id=job_id,
         tasks=tasks,
-        deadline=arrival_time + deadline_slack * critical_path_length(tasks, exec_time),
+        deadline=arrival_time + deadline_slack * critical,
         arrival_time=arrival_time,
         weight=weight,
     )

@@ -107,6 +107,14 @@ class TestPropertyBased:
                 assert by_idx[p].end_time <= by_idx[idx].start_time
         assert max(level.values(), default=1) <= 5
         assert max(child_count.values(), default=0) <= 15
+        # Keys run in start-time order, a topological order of the DAG.
+        assert list(parents) == sorted(
+            parents, key=lambda i: (by_idx[i].start_time, i)
+        )
+        seen: set[int] = set()
+        for idx, ps in parents.items():
+            assert seen.issuperset(ps)
+            seen.add(idx)
 
 
 def reference_infer(records, max_levels, max_dependents, max_parents):

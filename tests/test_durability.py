@@ -8,6 +8,7 @@ identical trace + ``RunMetrics`` vs the uninterrupted run.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +17,11 @@ from repro.cluster import Cluster, NodeSpec, ResourceVector
 from repro.config import DSPConfig, SimConfig, SnapshotConfig
 from repro.core import HeuristicScheduler
 from repro.dag import Job, Task
+from repro.experiments import (
+    build_workload_for_cluster,
+    cluster_profile,
+    default_config,
+)
 from repro.sim import (
     FaultEvent,
     FaultKind,
@@ -34,7 +40,9 @@ from repro.sim import (
     summarize_journal,
     write_snapshot,
 )
+from repro.sim import journal as journal_mod
 from repro.sim.journal import (
+    RENDER_SLICE,
     decode_bus_event,
     decode_payload,
     encode_bus_event,
@@ -204,6 +212,56 @@ class TestCodecs:
                   payload=FaultEvent(12.5, "n0", FaultKind.SLOWDOWN, 0.25)),
         ]:
             assert _render_pop(pop) == dumps(encode_pop(pop))
+
+
+class TestRenderSlices:
+    """The recorder renders in slices of at most ``RENDER_SLICE`` records,
+    while the file and its fsync points stay those of one batch."""
+
+    def test_slices_bound_pending_and_keep_bytes_and_fsyncs(
+        self, tmp_path, monkeypatch
+    ):
+        synced: list[int] = []  # file size at each fsync
+        monkeypatch.setattr(
+            journal_mod.os, "fsync", lambda fd: synced.append(os.fstat(fd).st_size)
+        )
+        cl = cluster_profile("cluster")
+        jobs = build_workload_for_cluster(
+            30, cl, scale=6.0, seed=1, config=default_config()
+        ).jobs
+        path = tmp_path / "run.journal"
+        engine = SimEngine(cl, list(jobs), HeuristicScheduler(cl), journal=path)
+        recorder = engine.journal
+        events: list = []
+        pending: list[int] = []
+
+        def after_recorder(event) -> None:
+            events.append(event)
+            pending.append(len(recorder._pending))
+
+        engine.runtime.kernel.pop_observers.append(after_recorder)
+        engine.runtime.bus.subscribe_all(after_recorder)
+        engine.run()
+        *cadence, run_end = synced  # run() ends with a flush, which fsyncs
+        engine.journal.close()
+
+        assert max(pending) == RENDER_SLICE - 1
+        data = path.read_bytes()
+        ends = [i + 1 for i, byte in enumerate(data) if byte == 0x0A]
+        assert len(ends) == len(events) > 2 * 8192
+        assert len(cadence) == len(events) // 8192
+        assert cadence == ends[8191::8192]
+        assert run_end == len(data)
+
+        one_batch = tmp_path / "one.journal"
+        writer = JournalWriter(one_batch)
+        writer.append_batch(
+            journal_mod._render_pop(ev) if type(ev) is journal_mod.Event
+            else journal_mod._render_bus(ev)
+            for ev in events
+        )
+        writer.close()
+        assert one_batch.read_bytes() == data
 
 
 # --------------------------------------------------------------- snapshots

@@ -1,5 +1,7 @@
 """Tests for the Job model."""
 
+import dataclasses
+
 import pytest
 
 from repro.dag import Job, Task, chain_dag, diamond_dag
@@ -94,3 +96,29 @@ class TestJobWeight:
     def test_production_weight(self):
         job = Job.from_tasks("J1", [mk("a")], deadline=10.0, weight=1.0)
         assert job.weight == 1.0
+
+
+class TestRetimed:
+    @pytest.fixture
+    def job(self) -> Job:
+        return Job.from_tasks(
+            "J1", diamond_dag("J1", size_mi=1000.0), deadline=100.0,
+            arrival_time=4.0, weight=1.0,
+        )
+
+    def test_equals_a_rebuilt_job_field_for_field(self, job):
+        new = job.retimed(9.0, 105.0)
+        ref = dataclasses.replace(job, arrival_time=9.0, deadline=105.0)
+        for f in dataclasses.fields(Job):
+            assert getattr(new, f.name) == getattr(ref, f.name), f.name
+        for derived in ("topo_order", "children", "levels", "level_lists"):
+            assert getattr(new, derived) == getattr(ref, derived), derived
+        assert (job.arrival_time, job.deadline) == (4.0, 100.0)
+
+    def test_times_still_checked(self, job):
+        with pytest.raises(ValueError, match="must be after"):
+            job.retimed(200.0, 150.0)
+        with pytest.raises(ValueError, match="arrival_time"):
+            job.retimed(-1.0, 150.0)
+        with pytest.raises(ValueError, match="deadline"):
+            job.retimed(0.0, 0.0)

@@ -69,6 +69,15 @@ class TestJobFromRecords:
         cp = job.critical_path_time(1000.0)
         assert job.deadline == pytest.approx(100.0 + 3.0 * cp)
 
+    def test_deadline_bit_equal_to_kahn_order_critical_path(self):
+        # job_from_records walks the inference's start-time order; the
+        # critical path must match the one over a fresh topological sort.
+        gen = GoogleTraceGenerator(rng=3)
+        for n in (2, 15, 50, 100):
+            records = gen.job_records(f"J{n}", n)
+            job = job_from_records(f"J{n}", records, 7.0, 4.0, 1000.0)
+            assert job.deadline == 7.0 + 4.0 * job.critical_path_time(1000.0)
+
     def test_structural_caps(self):
         records = GoogleTraceGenerator(rng=5).job_records("J", 80)
         job = job_from_records("J", records, 0.0, 4.0, 1000.0)
