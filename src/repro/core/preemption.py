@@ -35,9 +35,13 @@ per-task values.  :class:`DSPPreemption` feeds it from the engine's
 signals come from the core's columns, C2 from the ancestor closures of
 :class:`~repro.sim.state.SimState`, and the visit order is the sorted
 running set followed by the queue head
-(:data:`~repro.sim.views.VIEW_QUEUE_LIMIT` tasks).  The policy must score
-with the engine's γ/ω weights; :meth:`DSPPreemption.attach` refuses any
-other configuration.  ``tests/test_sched_core.py`` holds
+(:data:`~repro.sim.views.VIEW_QUEUE_LIMIT` tasks).  Both passes pick
+preempting tasks only among runnable queued ones, so a node whose queue
+head holds no runnable task gets no decision and no scoring (the core's
+dispatch index answers that:
+:meth:`~repro.sim.arraycore.ArrayCore.runnable_through`).  The policy
+must score with the engine's γ/ω weights; :meth:`DSPPreemption.attach`
+refuses any other configuration.  ``tests/test_sched_core.py`` holds
 :func:`algorithm1` to an independent reference written from the paper's
 text.
 """
@@ -197,8 +201,11 @@ class DSPPreemption(PreemptionPolicy):
         core = self._core
         if core is None:
             raise RuntimeError("DSPPreemption used before attach()")
-        running = sorted(node.running)
         queued = node.queued_ids(VIEW_QUEUE_LIMIT)
+        # A head with no runnable task decides nothing: skip the scoring.
+        if not queued or not core.runnable_through(node, queued[-1]):
+            return []
+        running = sorted(node.running)
         now = runtime.now
         rows = core.rows_of(running + queued)
         # Scores first: the scoring pass is what the generation's scan

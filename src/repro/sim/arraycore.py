@@ -129,6 +129,7 @@ _RUNNING = _STATE_CODE[TaskState.RUNNING]
 _STALLED = _STATE_CODE[TaskState.STALLED]
 _COMPLETED = _STATE_CODE[TaskState.COMPLETED]
 _QUEUED_STATE = TaskState.QUEUED
+_STALLED_STATE = TaskState.STALLED
 
 _NAN = float("nan")
 
@@ -281,6 +282,12 @@ class ArrayCore:
         self._live_deps = np.zeros(cap, dtype=np.int32)
         self._preempt_count = np.zeros(cap, dtype=np.int32)
         self._banned = np.zeros(cap, dtype=bool)
+        # Rows whose state column reads STALLED, kept wherever that
+        # column is written (_sync_row, retire_tasks), so the stall sweep
+        # can skip its whole-mirror mask when there are none.  A set, not
+        # a count read back from the column: the per-row sync then costs
+        # one empty-set test while nothing stalls.
+        self._stalled: set[int] = set()
 
         # Static DAG structure, by row: children in the evaluator's
         # insertion order, and static height (max distance to a sink).
@@ -466,6 +473,10 @@ class ArrayCore:
             _NAN if t.stall_start is None else t.stall_start
         )
         state = t.state
+        if state is _STALLED_STATE:
+            self._stalled.add(row)
+        elif self._stalled:
+            self._stalled.discard(row)
         self._state[row] = _CODE_OF_VALUE[state._value_]
         # .get: completed tasks keep their node_id, which may name a
         # node decommissioned since — the -1 is garbage nothing reads.
@@ -615,6 +626,7 @@ class ArrayCore:
             self._deadline[row] = 0.0
             self._planned[row] = np.inf
             self._stall_start[row] = _NAN
+            self._stalled.discard(row)
             self._state[row] = _COMPLETED
             self._node[row] = -1
             self._unfinished[row] = 0
@@ -855,6 +867,17 @@ class ArrayCore:
         first = bisect_right(held, now + EPS, key=_PLANNED)
         return float(held[first][0]) if first < len(held) else math.inf
 
+    def runnable_through(self, node: "NodeRuntime", task_id: str) -> bool:
+        """Whether a runnable task waits on *node* at or before queued
+        task *task_id* in queue order: the node's ready list is non-empty
+        and its first ``(planned_start, task_id)`` key is at most
+        *task_id*'s.  Passing the last entry of a visited queue head
+        asks whether any task of that head is runnable."""
+        ready = self._ready[self._node_pos[node.node_id]]
+        if not ready:
+            return False
+        return ready[0] <= (float(self._planned[self._row_of[task_id]]), task_id)
+
     def stall_timeout_candidates(
         self, now: float, timeout: float
     ) -> list[str]:
@@ -862,7 +885,10 @@ class ArrayCore:
         order (position in the node table), then sorted task id.
         Callers re-verify each against live state before suspending
         (handlers of an earlier eviction may have moved a later
-        candidate)."""
+        candidate).  With no stalled row (every dependency-aware run) it
+        returns ``[]`` without building the mask."""
+        if not self._stalled:
+            return []
         n = self._ids.capacity
         ss = self._stall_start[:n]
         with np.errstate(invalid="ignore"):

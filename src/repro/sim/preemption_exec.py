@@ -10,6 +10,15 @@ and validates its (preempting, victim) pairs against live state before
 applying them — so policies may be optimistic.  It also owns the engine's two
 safety rails: the per-task preemption cap (starvation guard) and the
 deadlock detector.
+
+A tick pays only where it can act.  The stall sweep returns at once
+while the array core holds no STALLED row (always, under
+dependency-aware dispatch); the node sweep skips unreachable nodes and
+nodes with nothing queued or nothing running; and DSP returns no
+decision, unscored, for a node whose visited queue head holds no
+runnable task
+(:meth:`~repro.sim.arraycore.ArrayCore.runnable_through`).  Each skip is
+exact: it drops only work that could not produce a decision.
 """
 
 from __future__ import annotations
@@ -177,10 +186,11 @@ class PreemptionExecutor:
         capacity their ancestors may be waiting for (deadlock breaker)."""
         rt = self._rt
         # One mask over the mirror instead of a per-node walk of every
-        # running set (almost always empty: dependency-aware dispatch
-        # never stalls).  Candidates come back in node order, then sorted
-        # task id, and are re-verified against live state: handlers of an
-        # earlier eviction may have moved a later candidate.
+        # running set, skipped while no row is stalled (dependency-aware
+        # dispatch never stalls).  Candidates come back in node order,
+        # then sorted task id, and are re-verified against live state:
+        # handlers of an earlier eviction may have moved a later
+        # candidate.
         for tid in rt.array.stall_timeout_candidates(rt.now, rt.stall_timeout):
             task = rt.state.tasks[tid]
             if task.state is not TaskState.STALLED or task.node_id is None:

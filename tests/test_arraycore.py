@@ -68,7 +68,7 @@ from repro.sim.arraycore import (
 )
 from repro.sim.executor import NodeRuntime
 from repro.sim.snapshot import SnapshotError
-from repro.sim.kernel import EpochTick
+from repro.sim.kernel import EpochTick, TaskStallEvicted
 from repro.sim.views import VIEW_QUEUE_LIMIT
 
 from test_sched_core import _chaos_inputs, _drive, _engine, _faulty_engine, _sim_cfg
@@ -206,7 +206,15 @@ def _assert_scans_match(core: ArrayCore, rt) -> dict[str, int]:
     stalls = core.stall_timeout_candidates(now, rt.stall_timeout)
     assert stalls == _reference_stalls(state, now, rt.stall_timeout)
     seen["stalls"] += bool(stalls)
+    _assert_stalled_rows(core)
     return seen
+
+
+def _assert_stalled_rows(core: ArrayCore) -> None:
+    """The stall sweep skips its mask when the core's STALLED rows are
+    none, so they must be exactly the rows the mask would find."""
+    n = core._ids.capacity
+    assert core._stalled == set(np.nonzero(core._state[:n] == _STALLED)[0].tolist())
 
 
 def _streaming_chaos_engine(seed: int, **engine_kwargs) -> SimEngine:
@@ -268,6 +276,31 @@ class TestMirrorFreshness:
         assert totals["blind_extra"] > 0, totals
         assert totals["stalls"] > 0, totals
         engine.finalize()
+
+    def test_stalled_rows_after_every_event_dependency_blind(self):
+        """The STALLED rows the stall sweep's skip reads equal the
+        state-column mask after every bus event of a dependency-blind run
+        in which tasks stall, time out and are evicted back to their
+        queue.  (The settled-point scan oracle above checks it too.)"""
+        engine = _streaming_chaos_engine(
+            2, dependency_aware_dispatch=False, stall_timeout=1.0
+        )
+        rt = engine.runtime
+        core = rt.array
+        evicted = 0
+        peak = 0
+
+        def check(event) -> None:
+            nonlocal evicted, peak
+            _assert_stalled_rows(core)
+            evicted += isinstance(event, TaskStallEvicted)
+            peak = max(peak, len(core._stalled))
+
+        # Wildcard subscribers run after the mirror's typed handlers.
+        rt.bus.subscribe_all(check)
+        _drive(engine)
+        assert evicted > 0 and peak > 0, (evicted, peak)
+        assert not core._stalled
 
 
 # ------------------------------------------------- scan-column oracle

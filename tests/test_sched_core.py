@@ -372,7 +372,9 @@ class TestAlgorithm1Oracle:
     def test_core_scan_matches_view_oracle(self, seed: int, use_pp: bool):
         """At every epoch tick, for every node with both running and
         queued tasks, the column scan decides exactly as the reference
-        Algorithm 1 over the runtime objects."""
+        Algorithm 1 over the runtime objects — including the nodes the
+        runnable-head filter skips, whose verdict must match the objects'
+        own view of the queue head."""
         cfg = DSPConfig(use_pp=use_pp)
         engine = _faulty_engine(seed, cfg)
         rt = engine.runtime
@@ -381,18 +383,25 @@ class TestAlgorithm1Oracle:
         evaluator = PriorityEvaluator(cfg, rt.state.static_tasks)
         compared = 0
         decided = 0
+        skipped = 0
 
         def check(_event: EpochTick) -> None:
-            nonlocal compared, decided
+            nonlocal compared, decided, skipped
             for node_id in sorted(rt.state.nodes):
                 node = rt.state.nodes[node_id]
                 if not node.running or not node.queue_length:
                     continue
+                head = node.queued_ids(VIEW_QUEUE_LIMIT)
+                filtered = not rt.array.runnable_through(node, head[-1])
+                assert filtered == (
+                    not any(rt.state.tasks[t].is_runnable for t in head)
+                ), (rt.now, node_id)
                 got = list(policy.select_preemptions_from_core(rt, node))
                 want = _reference_for_node(cfg, rt, node, evaluator)
                 assert got == want, (rt.now, node_id)
                 compared += 1
                 decided += bool(got)
+                skipped += filtered
 
         # The executor emits EpochTick right before its victim scan, so
         # this hook sees the state the scan decides on.
@@ -400,6 +409,57 @@ class TestAlgorithm1Oracle:
         engine.run()
         assert compared > 20, "too few contended snapshots to be meaningful"
         assert decided > 0, "oracle never saw a preemption"
+        assert skipped > 0, "no compared node had an unrunnable queue head"
+
+    def test_filter_reads_only_the_visited_head(self):
+        """One node, one slot: a long root runs while its 36 children
+        fill the queue head, and a later independent task queues behind
+        them, runnable but past the ``VIEW_QUEUE_LIMIT`` entries
+        Algorithm 1 visits.  The filter must skip the node without
+        scoring, although the node's ready list is not empty."""
+        cluster = Cluster([
+            NodeSpec(node_id="n0", cpu_size=1.0, mem_size=1.0, mips_per_unit=500.0)
+        ])
+        demand = ResourceVector(cpu=1.0, mem=0.5)
+        root = Task(task_id="A.r", job_id="A", size_mi=50000.0, demand=demand)
+        kids = [
+            Task(
+                task_id=f"A.k{i:02d}", job_id="A", size_mi=1000.0,
+                demand=demand, parents=("A.r",),
+            )
+            for i in range(VIEW_QUEUE_LIMIT + 4)
+        ]
+        late = Task(task_id="B.t", job_id="B", size_mi=1000.0, demand=demand)
+        jobs = [
+            Job.from_tasks("A", [root, *kids], deadline=1e6),
+            Job.from_tasks("B", [late], deadline=1e6, arrival_time=1.0),
+        ]
+        cfg = DSPConfig()
+        engine = _engine(
+            cluster, jobs, None, True, preemption=DSPPreemption(cfg),
+            dsp_config=cfg, sim_config=_sim_cfg(),
+        )
+        rt = engine.runtime
+        core = rt.array
+        node = rt.state.nodes["n0"]
+        skipped = 0
+
+        def check(_event: EpochTick) -> None:
+            nonlocal skipped
+            queue = node.queued_ids()
+            if "A.r" not in node.running or "B.t" not in queue:
+                return
+            assert queue.index("B.t") >= VIEW_QUEUE_LIMIT
+            assert core.runnable_through(node, queue[-1])
+            assert not core.runnable_through(node, queue[VIEW_QUEUE_LIMIT - 1])
+            lookups = core.hits + core.misses
+            assert rt.policy.select_preemptions_from_core(rt, node) == []
+            assert core.hits + core.misses == lookups
+            skipped += 1
+
+        rt.bus.subscribe(EpochTick, check)
+        engine.run()
+        assert skipped > 0, "the late task never queued behind the head"
 
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(st.data())
@@ -452,6 +512,45 @@ class TestAlgorithm1Oracle:
             runnable, preemptable, ancestors,
         )
         assert got == want
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_no_runnable_queued_task_decides_nothing(self, data):
+        """Both passes pick preempting tasks only among runnable queued
+        ones: with none runnable, :func:`algorithm1` returns ``[]`` for
+        any scores, signals, flags and ancestor sets (the exactness
+        argument behind the runnable-head filter)."""
+        cfg = DSPConfig(
+            use_pp=data.draw(st.booleans(), "use_pp"),
+            delta=data.draw(st.sampled_from([0.2, 0.35, 1.0]), "delta"),
+        )
+        epoch = 5.0
+        running = [f"r{i}" for i in range(data.draw(st.integers(0, 6), "n_run"))]
+        waiting = [f"w{i}" for i in range(data.draw(st.integers(1, 10), "n_wait"))]
+        n = len(running) + len(waiting)
+        floats = st.floats(-100.0, 100.0, allow_nan=False)
+
+        def column(strategy, label: str) -> list:
+            return data.draw(st.lists(strategy, min_size=n, max_size=n), label)
+
+        runnable = column(st.booleans(), "running runnable")[: len(running)]
+        ancestors = {
+            w: frozenset(
+                data.draw(st.sets(st.sampled_from(running)), f"ancestors {w}")
+                if running else ()
+            )
+            for w in waiting
+        }
+        got = algorithm1(
+            cfg, epoch, running, waiting,
+            column(floats, "scores"),
+            column(st.floats(0.0, 2 * cfg.tau, allow_nan=False), "overdue"),
+            column(floats, "allowable"),
+            runnable + [False] * len(waiting),
+            column(st.booleans(), "preemptable"),
+            ancestors,
+        )
+        assert got == []
 
 
 # ------------------------------------------------------------- wiring
