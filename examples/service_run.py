@@ -184,7 +184,9 @@ def drive(core: ServiceCore, start: int, end: int) -> list[str]:
                 {"op": "submit_job", "tenant": "acme", "job": job_spec(jid)}
             )
             assert not isinstance(ticket, dict), ticket
-        for ticket in core.run_cycle():
+        resolved = core.run_cycle()
+        core.pump()
+        for ticket in resolved:
             assert ticket.reply["status"] == "ok"
             acked.append(ticket.job_id)
     return acked

@@ -41,8 +41,20 @@ class Comm(abc.ABC):
     for the single-reader/single-writer pattern the service uses."""
 
     @abc.abstractmethod
+    def write(self, message: dict) -> None:
+        """Queue one message on the transport and return at once: waits
+        neither for buffer space nor for the peer to read.  Raises
+        :class:`CommClosedError` when closed."""
+
+    @abc.abstractmethod
+    async def drain(self) -> None:
+        """Wait until the transport takes more writes (flow control);
+        raises :class:`CommClosedError` when the channel dropped."""
+
     async def send(self, message: dict) -> None:
-        """Send one message; raises :class:`CommClosedError` when closed."""
+        """Send one message (:meth:`write`, then :meth:`drain`)."""
+        self.write(message)
+        await self.drain()
 
     @abc.abstractmethod
     async def recv(self) -> dict:

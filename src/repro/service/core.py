@@ -3,7 +3,7 @@
 :class:`ServiceCore` is the synchronous heart the asyncio frontend wraps.
 It owns the admission controller, a *streaming* :class:`SimEngine`, the
 durable **admission journal**, and service snapshots — and it advances in
-discrete **cycles**::
+discrete **cycles**, each split at its durability point::
 
     run_cycle():
       1. expire pending submissions past their request deadline
@@ -11,7 +11,14 @@ discrete **cycles**::
       3. submit each admitted job into the streaming engine and append
          its admission record to the journal
       4. group-commit: one fsync, THEN resolve the batch's tickets 'ok'
-      5. pump the engine by at most ServiceConfig.pump_events pops
+    pump():
+      5. pump the engine by at most ServiceConfig.pump_events pops, run
+         the cycle hooks, write the periodic snapshot
+
+A driver calls ``run_cycle()`` then ``pump()`` once per cycle; between
+the two it may hand the resolved replies to their clients, so an ``ok``
+waits for its fsync but not for the cycle's simulation work.  The engine
+sees the same sequence either way: admit batch k, pump, admit batch k+1.
 
 Everything is measured on the virtual clock ``cycle × cycle_period`` —
 no wall time anywhere — so a workload script replays identically, which
@@ -62,11 +69,17 @@ class ServiceSnapshotError(RuntimeError):
 @dataclass
 class Ticket:
     """One in-flight ``submit_job``: parked at offer time, resolved at
-    admission (``ok``), expiry (``timeout``) or cancellation."""
+    admission (``ok``), expiry (``timeout``) or cancellation.
+
+    ``job`` is the spec decoded once at offer time; admission retimes it
+    to its arrival, which gives the same floats a fresh decode would.
+    """
 
     tenant: str
     job_id: str  # namespaced engine name
     request: dict
+    job: Job
+    rel_deadline: float
     reply: dict | None = None
     spec: dict = field(default_factory=dict)
 
@@ -167,7 +180,9 @@ class ServiceCore:
         if self.draining or self.closed:
             return reply(request, "rejected", error="server is draining")
         try:
-            job, _ = decode_job_spec(tenant, request.get("job"), arrival=self.now)
+            job, rel_deadline = decode_job_spec(
+                tenant, request.get("job"), arrival=self.now
+            )
         except ProtocolError as exc:
             self.controller.tenant(tenant).rejected += 1
             return reply(request, "rejected", error=str(exc))
@@ -185,7 +200,7 @@ class ServiceCore:
             return reply(request, verdict, retry_after=retry_after)
         ticket = Ticket(
             tenant=tenant, job_id=full_id, request=request,
-            spec=dict(request["job"]),
+            job=job, rel_deadline=rel_deadline, spec=dict(request["job"]),
         )
         self.controller.find(tenant, full_id).payload = ticket
         self._tickets[full_id] = ticket
@@ -261,8 +276,9 @@ class ServiceCore:
 
     # ------------------------------------------------------------- cycles
     def run_cycle(self) -> list[Ticket]:
-        """Advance one service cycle (see module docstring); returns the
-        tickets resolved this cycle (acknowledged, timed out)."""
+        """Advance one service cycle up to its group commit (steps 1–4 of
+        the module docstring); returns the tickets resolved this cycle
+        (acknowledged, timed out, rejected).  :meth:`pump` finishes it."""
         if self.closed:
             raise SimulationError("service core is closed")
         self.cycle += 1
@@ -284,11 +300,9 @@ class ServiceCore:
             ticket: Ticket = entry.payload
             arrival = max(now, self.engine.now)
             try:
-                job, _ = decode_job_spec(
-                    state.name, ticket.spec, arrival=arrival
-                )
+                job = ticket.job.retimed(arrival, arrival + ticket.rel_deadline)
                 self.engine.submit_job(job)
-            except (ProtocolError, ValueError, SimulationStuck) as exc:
+            except (ValueError, SimulationStuck) as exc:
                 state.admitted -= 1
                 state.rejected += 1
                 ticket.reply = reply(ticket.request, "rejected", error=str(exc))
@@ -315,9 +329,14 @@ class ServiceCore:
             )
             self._tickets.pop(ticket.job_id, None)
             resolved.append(ticket)
+        return resolved
 
-        # 5. Pump the engine.
-        self.pops_total += self.engine.pump(self.config.pump_events)
+    def pump(self) -> int:
+        """Finish the cycle :meth:`run_cycle` opened (step 5): pump the
+        engine, run the cycle hooks, write the periodic snapshot.  Returns
+        the number of events popped."""
+        pops = self.engine.pump(self.config.pump_events)
+        self.pops_total += pops
 
         for hook in self.cycle_hooks:
             hook(self.cycle)
@@ -325,7 +344,7 @@ class ServiceCore:
         every = self.config.snapshot_every_cycles
         if every and self.cycle % every == 0 and self._data_dir is not None:
             self.write_snapshot()
-        return resolved
+        return pops
 
     # ------------------------------------------------------------ durability
     def write_snapshot(self) -> Path:

@@ -10,10 +10,16 @@ nothing but I/O.
 Degradation contract: ``status``/``stats``/``cancel`` are answered inline
 from live state the moment they are read off a connection — they never
 wait on a cycle, so the server keeps answering them under any backlog or
-shed storm.  ``submit_job`` replies when its ticket resolves (admission
-group commit, deadline expiry or cancellation); the bounded cycle quantum
-(``ServiceConfig.pump_events``) caps how long the event loop is held by
-simulation work between request reads.
+shed storm.  ``submit_job`` is answered at its cycle's group commit,
+before the cycle's simulation work: the pump loop runs
+:meth:`ServiceCore.run_cycle`, writes every reply it resolved (``ok``,
+``timeout``, ``rejected``) onto the comm its request came in on, yields
+once so clients on this event loop can read, and only then calls
+:meth:`ServiceCore.pump`.  ``Comm.write`` returns at once, so neither
+flow control nor a client that stopped reading or left holds the cycle.
+Cancellation and drain answer their tickets out of cycle.  The bounded
+pump quantum (``ServiceConfig.pump_events``) caps how long the event loop
+is held by simulation work between request reads.
 """
 
 from __future__ import annotations
@@ -56,8 +62,9 @@ class ServiceFrontend:
         self.core = core
         self._cycle_interval = cycle_interval
         self._idle_poll = idle_poll
-        # id(ticket) -> (ticket, future); resolved when ticket.reply lands.
-        self._parked: dict[int, tuple[Ticket, asyncio.Future]] = {}
+        # id(ticket) -> (ticket, future, comm of the request); the future
+        # carries the reply, or None once the pump loop wrote it.
+        self._parked: dict[int, tuple[Ticket, asyncio.Future, Comm]] = {}
         self._wake = asyncio.Event()
         self._listeners: list[Listener] = []
         self._pump_task: asyncio.Task | None = None
@@ -107,7 +114,7 @@ class ServiceFrontend:
         if self._pump_task is not None:
             await self._pump_task
             self._pump_task = None
-        for ticket, fut in self._parked.values():
+        for ticket, fut, _comm in self._parked.values():
             if not fut.done():
                 fut.set_result(
                     reply(ticket.request, "error", error="server stopped")
@@ -127,23 +134,39 @@ class ServiceFrontend:
 
     def _flush_resolved(self) -> None:
         """Complete the future of every parked ticket whose reply landed
-        (admission acks come through run_cycle's return value; cancel and
-        drain set replies out-of-cycle, so this sweeps everything)."""
+        out of cycle (cancel, drain); its handler sends the reply."""
         done = [
-            fid for fid, (ticket, _fut) in self._parked.items()
+            fid for fid, (ticket, _fut, _comm) in self._parked.items()
             if ticket.reply is not None
         ]
         for fid in done:
-            ticket, fut = self._parked.pop(fid)
+            ticket, fut, _comm = self._parked.pop(fid)
             if not fut.done():
                 fut.set_result(ticket.reply)
+
+    def _hand_off(self, resolved: list[Ticket]) -> None:
+        """Write the reply of every ticket a cycle resolved onto its
+        request's comm, then release the waiting handler to drain."""
+        for ticket in resolved:
+            parked = self._parked.pop(id(ticket), None)
+            if parked is None or parked[1].done():
+                continue  # not parked here, or its handler was cancelled
+            _ticket, fut, comm = parked
+            try:
+                comm.write(ticket.reply)
+            except CommClosedError:
+                pass  # the client left; its handler ends at the next recv
+            fut.set_result(None)
 
     async def _pump_loop(self) -> None:
         while not self._stopping:
             if self._has_work():
-                self.core.run_cycle()
+                self._hand_off(self.core.run_cycle())
+                # Clients on this event loop read their replies before the
+                # simulation work holds the loop.
+                await asyncio.sleep(0)
+                self.core.pump()
                 self.cycles_run += 1
-                self._flush_resolved()
                 if self._cycle_interval > 0:
                     await asyncio.sleep(self._cycle_interval)
                 else:
@@ -167,27 +190,30 @@ class ServiceFrontend:
                 except CommClosedError:
                     return
                 try:
-                    response = await self._dispatch(request)
+                    response = await self._dispatch(request, comm)
                 except ProtocolError as exc:
                     response = reply(request, "error", error=str(exc))
                 except Exception as exc:  # never let one request kill the loop
                     logger.exception("request failed: %r", request)
                     response = reply(request, "error", error=repr(exc))
                 try:
-                    await comm.send(response)
+                    if response is None:  # the pump loop wrote the reply
+                        await comm.drain()
+                    else:
+                        await comm.send(response)
                 except CommClosedError:
                     return
         finally:
             await comm.close()
 
-    async def _dispatch(self, request: dict) -> dict:
+    async def _dispatch(self, request: dict, comm: Comm) -> dict | None:
         op = request.get("op")
         if op == "submit_job":
             result = self.core.submit(request)
             if isinstance(result, dict):
                 return result
             future: asyncio.Future = asyncio.get_event_loop().create_future()
-            self._parked[id(result)] = (result, future)
+            self._parked[id(result)] = (result, future, comm)
             self._wake.set()
             return await future
         if op == "cancel":

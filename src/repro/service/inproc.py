@@ -45,13 +45,15 @@ class InprocComm(Comm):
         state = "closed" if self._closed else "open"
         return f"<InprocComm {self._label} {state}>"
 
-    async def send(self, message: dict) -> None:
+    def write(self, message: dict) -> None:
         if self._closed or self._peer_closed:
             raise CommClosedError(f"{self._label}: comm is closed")
         self._send_q.put_nowait(protocol.encode_frame(message))
-        # One cooperative yield per send: keeps thousands of concurrent
-        # clients interleaving instead of one coroutine monopolizing the
-        # loop with put_nowait bursts.
+
+    async def drain(self) -> None:
+        # The queues are unbounded, so draining is one cooperative yield:
+        # it keeps thousands of concurrent clients interleaving instead of
+        # one coroutine monopolizing the loop with put_nowait bursts.
         await asyncio.sleep(0)
 
     async def recv(self) -> dict:

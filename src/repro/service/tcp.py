@@ -32,11 +32,19 @@ class TCPComm(Comm):
         self._writer = writer
         self._closed = False
 
-    async def send(self, message: dict) -> None:
+    def write(self, message: dict) -> None:
         if self._closed:
             raise CommClosedError("tcp comm is closed")
         try:
             self._writer.write(protocol.encode_frame(message))
+        except (ConnectionError, RuntimeError) as exc:
+            self._closed = True
+            raise CommClosedError(f"tcp send failed: {exc}") from exc
+
+    async def drain(self) -> None:
+        if self._closed:
+            raise CommClosedError("tcp comm is closed")
+        try:
             await self._writer.drain()
         except (ConnectionError, RuntimeError) as exc:
             self._closed = True

@@ -93,6 +93,7 @@ from ..sim import (
     normalize_plan,
     plan_to_json,
     random_membership_plan,
+    read_journal,
 )
 from .executor import parallel_map
 from .runspec import RunKey
@@ -838,11 +839,13 @@ def service_job_spec(rng, job_id: str) -> dict:
 
 async def _drive_service_case(case: ServiceCase, core, rng):
     """Start the frontend, run the client fleet and a status prober, drain;
-    returns the terminal reply status per client, every non-``ok`` status
-    reply, and the final stats body."""
+    returns the terminal reply status per client, the namespaced names of
+    the ``ok``-acknowledged jobs, every non-``ok`` status reply, and the
+    final stats body."""
     import asyncio
 
     from ..service import ServiceClient, ServiceFrontend
+    from ..service.protocol import job_name
 
     frontend = ServiceFrontend(core)
     address = await frontend.start(f"inproc://soak-service-{case.index}")
@@ -883,19 +886,25 @@ async def _drive_service_case(case: ServiceCase, core, rng):
     probing = False
     refused = await probe_task
     stats = await frontend.drain_and_stop()
-    return list(outcomes), refused, stats
+    acked = {
+        job_name(tenant, spec["job_id"])
+        for (tenant, spec), status in zip(specs, outcomes) if status == "ok"
+    }
+    return list(outcomes), acked, refused, stats
 
 
 def check_service(case: ServiceCase, scratch: pathlib.Path, record: dict) -> Outcome:
     """Chaos-injected streaming engine behind the inproc frontend, a
     concurrent client fleet, then the contract: every request answered
     and **zero acknowledged-job loss** (the ``ok``-acknowledged jobs are
-    exactly the jobs the engine completed)."""
+    exactly the jobs the engine completed, and exactly the jobs the
+    admission journal holds)."""
     import asyncio
 
     # Imported here so the case grid (which the benchmark imports) does
     # not pull in the service stack.
     from ..service import ServiceCore
+    from ..service.protocol import job_name
 
     rng = np.random.default_rng([case.base_seed, case.index, 0x5E4C])
     cluster = uniform_cluster(case.num_nodes)
@@ -926,9 +935,15 @@ def check_service(case: ServiceCase, scratch: pathlib.Path, record: dict) -> Out
         ),
     )
     try:
-        outcomes, refused, stats = asyncio.run(_drive_service_case(case, core, rng))
+        outcomes, acked_names, refused, stats = asyncio.run(
+            _drive_service_case(case, core, rng)
+        )
     except RUN_ERRORS as exc:
         return classify(exc)
+    records, _ = read_journal(scratch / "svc" / "admissions.jsonl")
+    journaled = {
+        job_name(r["t"], r["j"]["job_id"]) for r in records if r.get("r") == "adm"
+    }
 
     counts = {s: outcomes.count(s) for s in sorted(set(outcomes))}
     engine = stats["engine"]
@@ -946,6 +961,12 @@ def check_service(case: ServiceCase, scratch: pathlib.Path, record: dict) -> Out
         problems.append(
             f"acknowledged-job loss: {acked} acked but engine holds "
             f"{engine['jobs']} jobs"
+        )
+    if acked_names != journaled:
+        problems.append(
+            f"admission journal mismatch: {len(acked_names - journaled)} acked "
+            f"but not journaled, {len(journaled - acked_names)} journaled "
+            "but never acked"
         )
     if engine["tasks_done"] != engine["tasks_total"]:
         problems.append(

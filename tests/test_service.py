@@ -7,15 +7,20 @@ both transports.
 """
 
 import asyncio
+import dataclasses
+import hashlib
 import json
+import os
 
 import pytest
 
 from repro.cluster import Cluster, NodeSpec
 from repro.config import ServiceConfig, TenantQuota
 from repro.core import HeuristicScheduler
+from repro.dag.job import Job
 from repro.service import (
     AdmissionController,
+    Comm,
     ServiceClient,
     ServiceCore,
     ServiceFrontend,
@@ -301,6 +306,7 @@ class TestServiceCore:
         ticket = core.submit(submit_req("a", "j1"))
         assert not isinstance(ticket, dict)
         resolved = core.run_cycle()
+        core.pump()
         assert ticket in resolved
         assert ticket.reply["status"] == "ok"
         core.close()
@@ -309,7 +315,9 @@ class TestServiceCore:
         core = make_core()
         assert core.now == 0.0
         core.run_cycle()
+        core.pump()
         core.run_cycle()
+        core.pump()
         assert core.now == pytest.approx(1.0)  # 2 × cycle_period 0.5
         core.close()
 
@@ -317,6 +325,7 @@ class TestServiceCore:
         core = make_core()
         core.submit(submit_req("a", "j1"))
         core.run_cycle()
+        core.pump()
         dup = core.submit(submit_req("a", "j1"))
         assert dup["status"] == "rejected" and "duplicate" in dup["error"]
         bad = core.submit({"op": "submit_job", "tenant": "x/y", "job": job_spec("j")})
@@ -328,6 +337,7 @@ class TestServiceCore:
         t1 = core.submit(submit_req("a", "j1"))
         t2 = core.submit(submit_req("a", "j2"))
         core.run_cycle()  # admits j1 only
+        core.pump()
         assert t1.reply["status"] == "ok"
         r = core.cancel({"op": "cancel", "tenant": "a", "job_id": "j2"})
         assert r["status"] == "ok" and r["state"] == "cancelled"
@@ -343,11 +353,13 @@ class TestServiceCore:
         sreq = {"op": "status", "tenant": "a", "job_id": "j2"}
         assert core.status(sreq)["state"] == "pending"
         core.run_cycle()
+        core.pump()
         assert core.status({"op": "status", "tenant": "a", "job_id": "j1"})[
             "state"
         ] in ("running", "completed")
         for _ in range(40):
             core.run_cycle()
+            core.pump()
         assert core.status({"op": "status", "tenant": "a", "job_id": "j1"})[
             "state"
         ] == "completed"
@@ -363,6 +375,7 @@ class TestServiceCore:
         tickets = [core.submit(submit_req("a", f"j{i}")) for i in range(5)]
         for _ in range(4):
             core.run_cycle()
+            core.pump()
         statuses = [t.reply["status"] for t in tickets if t.reply]
         assert "timeout" in statuses  # the backlog tail expired at t>=1.0
         core.close()
@@ -372,6 +385,7 @@ class TestServiceCore:
         t1 = core.submit(submit_req("a", "j1"))
         t2 = core.submit(submit_req("a", "j2"))
         core.run_cycle()
+        core.pump()
         stats = core.drain()
         assert t1.reply["status"] == "ok"
         assert t2.reply["status"] == "rejected"
@@ -399,9 +413,53 @@ class TestServiceCore:
         core.submit(submit_req("a", "j1"))
         for _ in range(6):
             core.run_cycle()
+            core.pump()
         snaps = sorted((tmp_path / "svc" / "snapshots").glob("service-*.json"))
         assert len(snaps) == 3  # rotated, newest kept
         core.close()
+
+    def test_admitted_job_equals_fresh_decode(self):
+        """Admission retimes the job decoded at offer time; the result is
+        the job a fresh decode at the admission arrival would build."""
+        core = make_core(pump_events=8)
+        submitted = []
+        inner = core.engine.submit_job
+        core.engine.submit_job = lambda job: (
+            submitted.append((job, core.now)), inner(job)
+        )
+        for k in range(6):
+            spec = job_spec(f"j{k}", ntasks=3, deadline=123.456 + k / 7)
+            core.submit({"op": "submit_job", "tenant": "a", "job": spec})
+            for _ in range(3):
+                core.run_cycle()
+                core.pump()
+        assert len(submitted) == 6
+        # Some arrivals come from the engine clock, which ran ahead.
+        assert any(job.arrival_time > now for job, now in submitted)
+        for k, (job, _now) in enumerate(submitted):
+            spec = job_spec(f"j{k}", ntasks=3, deadline=123.456 + k / 7)
+            fresh, _ = decode_job_spec("a", spec, arrival=job.arrival_time)
+            for f in dataclasses.fields(Job):
+                assert getattr(job, f.name) == getattr(fresh, f.name), f.name
+            assert job.deadline.hex() == fresh.deadline.hex()
+            assert job.arrival_time.hex() == fresh.arrival_time.hex()
+            assert job.topo_order == fresh.topo_order
+        core.close()
+
+    def test_admission_journal_bytes_pinned(self, tmp_path):
+        """The admission journal of the kill-9 script, byte for byte (its
+        arrivals include engine-clock ones such as 605.6875)."""
+        core = ServiceCore(
+            make_cluster(), HeuristicScheduler(make_cluster()), recovery_cfg(),
+            data_dir=tmp_path / "svc",
+        )
+        drive(core, 0, TOTAL_CYCLES)
+        core.close()
+        data = (tmp_path / "svc" / "admissions.jsonl").read_bytes()
+        assert len(data) == 2003
+        assert hashlib.sha256(data).hexdigest() == (
+            "a557325c8f463304ed04e3a8cda9107c1beac116e983c6c9e1117f3f4f8eb18b"
+        )
 
 
 # ---------------------------------------------------------- kill-9 recovery
@@ -427,7 +485,9 @@ def drive(core, start_cycle, end_cycle):
         for tenant, jid in SCRIPT.get(k, ()):
             t = core.submit(submit_req(tenant, jid, ntasks=3))
             assert not isinstance(t, dict), t
-        for t in core.run_cycle():
+        resolved = core.run_cycle()
+        core.pump()
+        for t in resolved:
             assert t.reply["status"] == "ok"
             acked.append(t.job_id)
     return acked
@@ -486,6 +546,7 @@ class TestKill9Recovery:
             for tenant, jid in SCRIPT.get(k, ()):
                 core.submit(submit_req(tenant, jid, ntasks=3))
             acked += [t.job_id for t in core.run_cycle()]
+            core.pump()
         del core  # kill -9
         rec = ServiceCore.recover(
             make_cluster(), HeuristicScheduler(make_cluster()), cfg,
@@ -617,6 +678,116 @@ class TestFrontendInproc:
             assert core.closed
 
         run_async(main())
+
+    def test_ack_reaches_client_before_its_cycle_pumps(self):
+        """Every ``ok`` is read by its client before the pump of the cycle
+        that admitted it starts."""
+        async def main():
+            core = make_core(admission_per_cycle=3)
+            events = []
+            inner = core.engine.pump
+            core.engine.pump = lambda n: (events.append(("pump", core.cycle)), inner(n))[1]
+            fe, addr = await start_frontend(core, "inproc://t-ack-order")
+
+            async def one(i):
+                async with await ServiceClient.connect(addr) as c:
+                    r = await c.submit_job(f"team{i % 3}", job_spec(f"j{i}"))
+                    assert r["status"] == "ok"
+                    events.append(("ack", r["cycle"]))
+
+            await asyncio.gather(*[one(i) for i in range(12)])
+            await fe.drain_and_stop()
+            acks = [(i, c) for i, (kind, c) in enumerate(events) if kind == "ack"]
+            assert len(acks) == 12
+            for i, cycle in acks:
+                assert events.index(("pump", cycle)) > i, (cycle, events)
+
+        run_async(main())
+
+    def test_admission_fsync_precedes_hand_off(self, tmp_path, monkeypatch):
+        async def main():
+            core = make_core(tmp_path / "svc")
+            adm_fd = core._adm_writer._file.fileno()
+            events = []
+            real_fsync = os.fsync
+
+            def fsync(fd):
+                if fd == adm_fd:
+                    events.append(("fsync", core.cycle))
+                return real_fsync(fd)
+
+            monkeypatch.setattr(os, "fsync", fsync)
+            fe, addr = await start_frontend(core, "inproc://t-fsync")
+            inner = fe._hand_off
+
+            def hand_off(resolved):
+                events.extend(("hand_off", t.reply["cycle"]) for t in resolved
+                              if t.reply["status"] == "ok")
+                inner(resolved)
+
+            fe._hand_off = hand_off
+
+            async def one(i):
+                async with await ServiceClient.connect(addr) as c:
+                    return await c.submit_job("a", job_spec(f"j{i}"))
+
+            replies = await asyncio.gather(*[one(i) for i in range(6)])
+            assert all(r["status"] == "ok" for r in replies)
+            await fe.drain_and_stop()
+            handed = [(i, c) for i, (kind, c) in enumerate(events) if kind == "hand_off"]
+            assert len(handed) == 6
+            for i, cycle in handed:
+                assert events.index(("fsync", cycle)) < i, events
+
+        run_async(main())
+
+    def test_stuck_and_vanished_clients_block_nothing(self):
+        """A comm whose send never completes and a client gone before its
+        ack hold neither the cycle's pump nor drain_and_stop."""
+
+        class StuckComm(Comm):
+            def __init__(self, request):
+                self.inbox = [request]
+                self.written = []
+                self._closed = False
+
+            def write(self, message):
+                self.written.append(message)
+
+            async def drain(self):
+                await asyncio.get_running_loop().create_future()  # never
+
+            async def recv(self):
+                if self.inbox:
+                    return self.inbox.pop()
+                await asyncio.get_running_loop().create_future()
+
+            async def close(self):
+                self._closed = True
+
+            @property
+            def closed(self):
+                return self._closed
+
+        async def main():
+            core = make_core()
+            fe, addr = await start_frontend(core, "inproc://t-stuck")
+            stuck = StuckComm(submit_req("a", "stuck"))
+            handler = asyncio.ensure_future(fe._handle_comm(stuck))
+            gone = await connect(addr)
+            await gone.send(submit_req("a", "gone"))
+            await gone.close()
+            jobs = core.engine.runtime.state.jobs
+            while len(jobs) < 2 or not core.engine.runtime.state.all_done():
+                await asyncio.sleep(0.001)
+            assert [m["status"] for m in stuck.written] == ["ok"]
+            stats = await asyncio.wait_for(fe.drain_and_stop(), timeout=10)
+            assert stats["engine"]["jobs"] == 2
+            assert stats["engine"]["tasks_done"] == 4
+            assert not handler.done()  # still parked in drain, yet nothing waited
+            handler.cancel()
+
+        run_async(asyncio.wait_for(main(), timeout=30))
 
     def test_connect_refused_without_listener(self):
         async def main():
