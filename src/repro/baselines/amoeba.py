@@ -14,22 +14,14 @@ counts relative to DSP.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from ..config import DSPConfig
-from ..sim.policy import (
-    NodeView,
-    PreemptionDecision,
-    PreemptionPolicy,
-    TaskView,
-    greedy_claim,
-    preemptable_victims,
-)
+from ..sim.policy import ClaimPolicy
+from ..sim.views import NodeSignals
 
 __all__ = ["AmoebaPreemption"]
 
 
-class AmoebaPreemption(PreemptionPolicy):
+class AmoebaPreemption(ClaimPolicy):
     """Most-resources eviction with checkpointing; dependency-unaware."""
 
     respects_dependencies = False
@@ -39,21 +31,13 @@ class AmoebaPreemption(PreemptionPolicy):
     def __init__(self, config: DSPConfig | None = None):
         self._config = config or DSPConfig()
 
-    @staticmethod
-    def victim_key(t: TaskView) -> tuple[float, float, str]:
+    def victim_key(self, s: NodeSignals, i: int) -> tuple[float, float, str]:
         """Victim preference: most resources first, then longest remaining."""
-        return (-t.resource_footprint, -t.remaining_time, t.task_id)
+        return (-s.footprint[i], -s.remaining[i], s.ids[i])
 
-    def select_preemptions(self, view: NodeView) -> Sequence[PreemptionDecision]:
-        if not view.waiting or not view.running:
-            return ()
-        victims = preemptable_victims(view, key=self.victim_key)
-        # Waiting tasks by shortest remaining time (the throughput move).
-        waiting = sorted(
-            view.waiting, key=lambda w: (w.remaining_time, w.task_id)
-        )
-        return greedy_claim(
-            waiting,
-            victims,
-            accepts=lambda w, v: w.remaining_time < v.remaining_time,
-        )
+    def claimant_key(self, s: NodeSignals, i: int) -> tuple[float, str]:
+        """Waiting tasks by shortest remaining time (the throughput move)."""
+        return (s.remaining[i], s.ids[i])
+
+    def accepts(self, s: NodeSignals, claimant: int, victim: int) -> bool:
+        return s.remaining[claimant] < s.remaining[victim]

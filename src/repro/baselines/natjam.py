@@ -16,17 +16,9 @@ disorders (Fig. 6a).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from ..config import DSPConfig
-from ..sim.policy import (
-    NodeView,
-    PreemptionDecision,
-    PreemptionPolicy,
-    TaskView,
-    greedy_claim,
-    preemptable_victims,
-)
+from ..sim.policy import ClaimPolicy
+from ..sim.views import NodeSignals
 
 __all__ = ["NatjamPreemption", "PRODUCTION_WEIGHT"]
 
@@ -34,8 +26,12 @@ __all__ = ["NatjamPreemption", "PRODUCTION_WEIGHT"]
 PRODUCTION_WEIGHT = 1.0
 
 
-class NatjamPreemption(PreemptionPolicy):
-    """Production-evicts-research preemption with checkpointing."""
+class NatjamPreemption(ClaimPolicy):
+    """Production-evicts-research preemption with checkpointing.
+
+    Claims are unconditional (no :meth:`accepts` gate): class beats every
+    runtime signal in Natjam's model.
+    """
 
     respects_dependencies = False
     uses_checkpointing = True
@@ -45,31 +41,23 @@ class NatjamPreemption(PreemptionPolicy):
         self._config = config or DSPConfig()
 
     @staticmethod
-    def is_production(t: TaskView) -> bool:
-        """Whether a task belongs to a production-class job."""
-        return t.job_weight >= PRODUCTION_WEIGHT
+    def is_production(s: NodeSignals, i: int) -> bool:
+        """Whether task *i* belongs to a production-class job."""
+        return s.weight[i] >= PRODUCTION_WEIGHT
 
-    @staticmethod
-    def eviction_key(t: TaskView) -> tuple[float, float, float, str]:
+    def is_victim(self, s: NodeSignals, i: int) -> bool:
+        """Only research tasks are evicted."""
+        return not self.is_production(s, i)
+
+    def is_claimant(self, s: NodeSignals, i: int) -> bool:
+        """Only production tasks claim."""
+        return self.is_production(s, i)
+
+    def victim_key(self, s: NodeSignals, i: int) -> tuple[float, float, float, str]:
         """Natjam's three-level victim ordering: most resources, then
         maximum job deadline, then shortest remaining time."""
-        return (-t.resource_footprint, -t.job_deadline, t.remaining_time, t.task_id)
+        return (-s.footprint[i], -s.deadline[i], s.remaining[i], s.ids[i])
 
-    def select_preemptions(self, view: NodeView) -> Sequence[PreemptionDecision]:
-        if not view.waiting or not view.running:
-            return ()
-        victims = preemptable_victims(
-            view,
-            key=self.eviction_key,
-            eligible=lambda r: not self.is_production(r),
-        )
-        if not victims:
-            return ()
-        # Arriving production tasks claim resources; earliest-deadline
-        # production work goes first.  Claims are unconditional — class
-        # beats every runtime signal in Natjam's model.
-        claimants = sorted(
-            (w for w in view.waiting if self.is_production(w)),
-            key=lambda w: (w.job_deadline, w.remaining_time, w.task_id),
-        )
-        return greedy_claim(claimants, victims)
+    def claimant_key(self, s: NodeSignals, i: int) -> tuple[float, float, str]:
+        """Earliest-deadline production work claims first."""
+        return (s.deadline[i], s.remaining[i], s.ids[i])

@@ -18,17 +18,9 @@ out and that drive its measured behaviour:
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from ..config import DSPConfig
-from ..sim.policy import (
-    NodeView,
-    PreemptionDecision,
-    PreemptionPolicy,
-    TaskView,
-    greedy_claim,
-    preemptable_victims,
-)
+from ..sim.policy import ClaimPolicy
+from ..sim.views import NodeSignals
 
 __all__ = ["SRPTPreemption"]
 
@@ -36,7 +28,7 @@ __all__ = ["SRPTPreemption"]
 _REMAINING_FLOOR = 1e-6
 
 
-class SRPTPreemption(PreemptionPolicy):
+class SRPTPreemption(ClaimPolicy):
     """Waiting-plus-shortest-remaining preemption, no checkpoint, no
     dependency awareness."""
 
@@ -47,23 +39,23 @@ class SRPTPreemption(PreemptionPolicy):
     def __init__(self, config: DSPConfig | None = None):
         self._config = config or DSPConfig()
 
-    def priority(self, t: TaskView) -> float:
+    def priority(self, waiting: float, remaining: float) -> float:
         """α·wait + β/remaining (higher = runs sooner)."""
         return (
-            self._config.srpt_alpha * t.waiting_time
-            + self._config.srpt_beta / max(t.remaining_time, _REMAINING_FLOOR)
+            self._config.srpt_alpha * waiting
+            + self._config.srpt_beta / max(remaining, _REMAINING_FLOOR)
         )
 
-    def select_preemptions(self, view: NodeView) -> Sequence[PreemptionDecision]:
-        if not view.waiting or not view.running:
-            return ()
-        # Lowest-priority victims first; highest-priority claimants first.
-        victims = preemptable_victims(
-            view, key=lambda r: (self.priority(r), r.task_id)
-        )
-        waiting = sorted(
-            view.waiting, key=lambda w: (-self.priority(w), w.task_id)
-        )
-        return greedy_claim(
-            waiting, victims, accepts=lambda w, v: self.priority(w) > self.priority(v)
-        )
+    def _priority_of(self, s: NodeSignals, i: int) -> float:
+        return self.priority(s.waiting[i], s.remaining[i])
+
+    def victim_key(self, s: NodeSignals, i: int) -> tuple[float, str]:
+        """Lowest priority evicted first."""
+        return (self._priority_of(s, i), s.ids[i])
+
+    def claimant_key(self, s: NodeSignals, i: int) -> tuple[float, str]:
+        """Highest priority claims first; every queued task may claim."""
+        return (-self._priority_of(s, i), s.ids[i])
+
+    def accepts(self, s: NodeSignals, claimant: int, victim: int) -> bool:
+        return self._priority_of(s, claimant) > self._priority_of(s, victim)

@@ -446,35 +446,142 @@ def _maybe_save(fig, args) -> None:
         print(f"\nsaved: {path}")
 
 
-def _run(args) -> int:
-    """The ``repro run`` command body (extracted so the signal-handler
-    teardown in the ``finally`` covers every exit path)."""
-    import signal
+class _StopLatch:
+    """Graceful shutdown for ``run``/``replay``: while entered, SIGTERM
+    and SIGINT are latched and stop the armed engine at its next settled
+    point, where the full state is snapshot-safe.  Enter it before the
+    (potentially slow) setup so an early signal is latched rather than
+    killing the process mid-construction; leaving restores the previous
+    handlers."""
 
+    def __init__(self) -> None:
+        self.signum: int | None = None
+        self._engine = None
+        self._previous: dict = {}
+
+    def __enter__(self) -> "_StopLatch":
+        import signal
+
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            try:
+                self._previous[signum] = signal.signal(signum, self._caught)
+            except ValueError:  # pragma: no cover - non-main thread
+                pass
+        return self
+
+    def __exit__(self, *exc) -> None:
+        import signal
+
+        for signum, handler in self._previous.items():
+            signal.signal(signum, handler)
+
+    def _caught(self, signum, _frame) -> None:
+        self.signum = signum
+        if self._engine is not None:
+            self._engine.request_stop()
+
+    def arm(self, engine) -> None:
+        """Route later signals to *engine*; stop it now if one came
+        during setup."""
+        self._engine = engine
+        if self.signum is not None:
+            engine.request_stop()
+
+    def report(self, engine, exc, noun: str) -> int:
+        """Print the interrupted *noun*'s report: the final snapshot (or
+        why there is none) and the journal flush.  Returns the exit
+        status, 128 + the signal number."""
+        import signal
+
+        signum = self.signum if self.signum is not None else signal.SIGTERM
+        print(f"\n{signal.Signals(signum).name}: {exc}")
+        if engine.snapshots is not None:
+            print(f"final snapshot: {engine.snapshots.take()}")
+        else:
+            print(
+                "state not persisted (start with --snapshot-every/"
+                f"--snapshot-seconds to make interrupted {noun}s resumable)"
+            )
+        if engine.journal is not None:
+            engine.journal.close()
+            print(f"journal flushed: {engine.journal.path}")
+        if engine.snapshots is not None:
+            print("resume with the same flags plus --resume")
+        return 128 + signum
+
+
+def _snapshot_config(args):
+    """The ``SnapshotConfig`` the --snapshot-* flags ask for, or None."""
+    if args.snapshot_every <= 0 and args.snapshot_seconds <= 0:
+        return None
+    from .config import SnapshotConfig
+
+    return SnapshotConfig(
+        directory=args.snapshot_dir,
+        every_events=args.snapshot_every,
+        every_sim_seconds=args.snapshot_seconds,
+    )
+
+
+def _resume(args, noun: str, flags: str, restore):
+    """The ``--resume`` path: load the newest valid snapshot under
+    ``--snapshot-dir`` and rebuild from it with ``restore(data)``.
+
+    Returns (what *restore* returns, the snapshot), or None after
+    printing the error: a missing directory, no valid snapshot, or a
+    snapshot that does not match this *noun*'s configuration (*flags*
+    names what must agree).
+    """
+    import os
+
+    from .sim import SnapshotError, latest_valid_snapshot
+
+    if not os.path.isdir(args.snapshot_dir):
+        print(
+            f"error: --resume: snapshot directory "
+            f"{args.snapshot_dir!r} does not exist\n"
+            f"hint: pass the --snapshot-dir the interrupted {noun} used, "
+            "or drop --resume to start fresh",
+            file=sys.stderr,
+        )
+        return None
+    found = latest_valid_snapshot(args.snapshot_dir)
+    if found is None:
+        print(
+            f"error: --resume: no valid snapshot under "
+            f"{args.snapshot_dir!r} (empty, torn or corrupt)\n"
+            f"hint: a {noun} only writes snapshots when started with "
+            "--snapshot-every/--snapshot-seconds; drop --resume to "
+            "start fresh",
+            file=sys.stderr,
+        )
+        return None
+    path, data = found
+    print(
+        f"resuming from {path} "
+        f"(event #{data['kernel']['pops']}, "
+        f"t={data['kernel']['now']:g}s)"
+    )
+    try:
+        return restore(data), data
+    except SnapshotError as exc:
+        print(
+            f"error: --resume: snapshot {path} does not match this "
+            f"{noun} configuration:\n  {exc}\n"
+            f"hint: rerun with exactly the flags the interrupted {noun} "
+            f"used ({flags})",
+            file=sys.stderr,
+        )
+        return None
+
+
+def _run(args) -> int:
+    """The ``repro run`` command body."""
     from .experiments import analysis_report, compute_level_deadlines
     from .locality import with_random_inputs
-    from .sim import SimEngine, random_fault_plan
+    from .sim import SimEngine, SimulationInterrupted, random_fault_plan
 
-    # Graceful shutdown: SIGTERM/SIGINT stop the kernel at the next
-    # settled point, where the full state is snapshot-safe.  Handlers
-    # go in before the (potentially slow) setup so an early signal is
-    # latched rather than killing the process mid-construction.
-    caught: dict[str, int] = {}
-    live: dict[str, SimEngine] = {}
-
-    def _graceful(signum, _frame):
-        caught["sig"] = signum
-        if "engine" in live:
-            live["engine"].request_stop()
-
-    previous = {}
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            previous[signum] = signal.signal(signum, _graceful)
-        except ValueError:  # pragma: no cover - non-main thread
-            pass
-
-    try:
+    with _StopLatch() as latch:
         cluster = cluster_profile(args.profile, args.node_scale)
         cfg = default_config()
         sim = default_sim_config()
@@ -510,15 +617,6 @@ def _run(args) -> int:
                 min_nodes=args.elastic_min_nodes,
                 max_nodes=args.elastic_max_nodes,
             )
-        snapshots = None
-        if args.snapshot_every > 0 or args.snapshot_seconds > 0:
-            from .config import SnapshotConfig
-
-            snapshots = SnapshotConfig(
-                directory=args.snapshot_dir,
-                every_events=args.snapshot_every,
-                every_sim_seconds=args.snapshot_seconds,
-            )
         kwargs = dict(
             preemption=policy, dsp_config=cfg,
             sim_config=sim,
@@ -528,79 +626,27 @@ def _run(args) -> int:
             dependency_aware_dispatch=dependency_aware,
             faults=faults,
             record_trace=args.gantt,
-            snapshots=snapshots,
+            snapshots=_snapshot_config(args),
             journal=args.journal,
         )
         if args.resume:
-            import os
-
-            from .sim import SnapshotError, latest_valid_snapshot
-
-            if not os.path.isdir(args.snapshot_dir):
-                print(
-                    f"error: --resume: snapshot directory "
-                    f"{args.snapshot_dir!r} does not exist\n"
-                    "hint: pass the --snapshot-dir the crashed run used, "
-                    "or drop --resume to start fresh",
-                    file=sys.stderr,
-                )
-                return 1
-            found = latest_valid_snapshot(args.snapshot_dir)
-            if found is None:
-                print(
-                    f"error: --resume: no valid snapshot under "
-                    f"{args.snapshot_dir!r} (empty, torn or corrupt)\n"
-                    "hint: a run only writes snapshots when started with "
-                    "--snapshot-every/--snapshot-seconds; drop --resume to "
-                    "start fresh",
-                    file=sys.stderr,
-                )
-                return 1
-            path, data = found
-            print(
-                f"resuming from {path} "
-                f"(event #{data['kernel']['pops']}, "
-                f"t={data['kernel']['now']:g}s)"
+            restored = _resume(
+                args, "run", "scheduler, policy, jobs, seeds, faults",
+                lambda data: SimEngine.restore(
+                    data, cluster, jobs, scheduler, **kwargs
+                ),
             )
-            try:
-                engine = SimEngine.restore(data, cluster, jobs, scheduler, **kwargs)
-            except SnapshotError as exc:
-                print(
-                    f"error: --resume: snapshot {path} does not match this "
-                    f"run configuration:\n  {exc}\n"
-                    "hint: rerun with exactly the flags the crashed run used "
-                    "(scheduler, policy, jobs, seeds, faults)",
-                    file=sys.stderr,
-                )
+            if restored is None:
                 return 1
+            engine, _ = restored
         else:
             engine = SimEngine(cluster, jobs, scheduler, **kwargs)
 
-        from .sim import SimulationInterrupted
-
-        live["engine"] = engine
-        if caught:
-            engine.request_stop()
+        latch.arm(engine)
         try:
             metrics = engine.run()
         except SimulationInterrupted as exc:
-            signum = caught.get("sig", signal.SIGTERM)
-            print(f"\n{signal.Signals(signum).name}: {exc}")
-            if engine.snapshots is not None:
-                print(f"final snapshot: {engine.snapshots.take()}")
-            elif args.snapshot_every or args.snapshot_seconds:
-                pass  # pragma: no cover - snapshots implies the manager
-            else:
-                print(
-                    "state not persisted (start with --snapshot-every/"
-                    "--snapshot-seconds to make interrupted runs resumable)"
-                )
-            if engine.journal is not None:
-                engine.journal.close()
-                print(f"journal flushed: {engine.journal.path}")
-            if engine.snapshots is not None:
-                print("resume with the same flags plus --resume")
-            return 128 + signum
+            return latch.report(engine, exc, "run")
         for key, value in sorted(metrics.as_dict().items()):
             print(f"{key:28s} {value:.6g}")
         if args.analyze:
@@ -612,9 +658,6 @@ def _run(args) -> int:
             print()
             print(gantt_chart(engine.trace, [n.node_id for n in cluster]))
         return 0
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
 
 
 def _policy_wiring(name: str, scheduler, cfg):
@@ -631,10 +674,9 @@ def _policy_wiring(name: str, scheduler, cfg):
 
 def _replay(args) -> int:
     """The ``repro replay`` command body: a streaming frontier run with
-    completed-job retirement, mirroring ``_run``'s signal/resume plumbing."""
+    completed-job retirement, sharing ``_run``'s signal/resume plumbing."""
     import dataclasses
     import json
-    import signal
     import time
 
     from .config import FrontierConfig
@@ -647,22 +689,7 @@ def _replay(args) -> int:
         TraceSource,
     )
 
-    caught: dict[str, int] = {}
-    live: dict[str, SimEngine] = {}
-
-    def _graceful(signum, _frame):
-        caught["sig"] = signum
-        if "engine" in live:
-            live["engine"].request_stop()
-
-    previous = {}
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            previous[signum] = signal.signal(signum, _graceful)
-        except ValueError:  # pragma: no cover - non-main thread
-            pass
-
-    try:
+    with _StopLatch() as latch:
         cluster = cluster_profile(args.profile, args.node_scale)
         cfg = default_config()
         sim = dataclasses.replace(
@@ -699,95 +726,38 @@ def _replay(args) -> int:
             resume_fraction=args.resume_fraction,
             spill_path=args.spill,
         )
-        snapshots = None
-        if args.snapshot_every > 0 or args.snapshot_seconds > 0:
-            from .config import SnapshotConfig
-
-            snapshots = SnapshotConfig(
-                directory=args.snapshot_dir,
-                every_events=args.snapshot_every,
-                every_sim_seconds=args.snapshot_seconds,
-            )
         kwargs = dict(
             preemption=policy,
             dsp_config=cfg,
             sim_config=sim,
             dependency_aware_dispatch=dependency_aware,
             streaming=True,
-            snapshots=snapshots,
+            snapshots=_snapshot_config(args),
             journal=args.journal,
         )
         if args.resume:
-            import os
-
-            from .sim import SnapshotError, latest_valid_snapshot
-
-            if not os.path.isdir(args.snapshot_dir):
-                print(
-                    f"error: --resume: snapshot directory "
-                    f"{args.snapshot_dir!r} does not exist\n"
-                    "hint: pass the --snapshot-dir the killed replay used, "
-                    "or drop --resume to start fresh",
-                    file=sys.stderr,
-                )
-                return 1
-            found = latest_valid_snapshot(args.snapshot_dir)
-            if found is None:
-                print(
-                    f"error: --resume: no valid snapshot under "
-                    f"{args.snapshot_dir!r} (empty, torn or corrupt)\n"
-                    "hint: a replay only writes snapshots when started with "
-                    "--snapshot-every/--snapshot-seconds; drop --resume to "
-                    "start fresh",
-                    file=sys.stderr,
-                )
-                return 1
-            path, data = found
-            print(
-                f"resuming from {path} "
-                f"(event #{data['kernel']['pops']}, "
-                f"t={data['kernel']['now']:g}s)"
-            )
-            try:
+            restored = _resume(
+                args, "replay", "scheduler, policy, source, seeds, window",
                 # [] — the snapshot's own jobs_spec supplies the live window.
-                engine = SimEngine.restore(data, cluster, [], scheduler, **kwargs)
-            except SnapshotError as exc:
-                print(
-                    f"error: --resume: snapshot {path} does not match this "
-                    f"replay configuration:\n  {exc}\n"
-                    "hint: rerun with exactly the flags the killed replay "
-                    "used (scheduler, policy, source, seeds, window)",
-                    file=sys.stderr,
-                )
+                lambda data: SimEngine.restore(
+                    data, cluster, [], scheduler, **kwargs
+                ),
+            )
+            if restored is None:
                 return 1
+            engine, data = restored
             frontier = StreamingFrontier(engine, source, frontier_cfg)
             frontier.restore_state(data.get("frontier"))
         else:
             engine = SimEngine(cluster, [], scheduler, **kwargs)
             frontier = StreamingFrontier(engine, source, frontier_cfg)
 
-        live["engine"] = engine
-        if caught:
-            engine.request_stop()
+        latch.arm(engine)
         wall_start = time.perf_counter()
         try:
             metrics = frontier.run()
         except SimulationInterrupted as exc:
-            signum = caught.get("sig", signal.SIGTERM)
-            print(f"\n{signal.Signals(signum).name}: {exc}")
-            if engine.snapshots is not None:
-                print(f"final snapshot: {engine.snapshots.take()}")
-            else:
-                print(
-                    "state not persisted (start with --snapshot-every/"
-                    "--snapshot-seconds to make killed replays resumable)"
-                )
-            if engine.journal is not None:
-                engine.journal.close()
-                print(f"journal flushed: {engine.journal.path}")
-            if engine.snapshots is not None:
-                print("resume with the same flags plus --resume")
-            return 128 + signum
+            return latch.report(engine, exc, "replay")
         wall = time.perf_counter() - wall_start
 
         for key, value in sorted(metrics.as_dict().items()):
@@ -826,9 +796,6 @@ def _replay(args) -> int:
                 fh.write("\n")
             print(f"\nstats saved: {args.stats_out}")
         return 0
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
 
 
 def _serve(args) -> int:

@@ -30,8 +30,13 @@ are *preemptable* — evicting anything tighter would make it miss its own
 deadline (§IV-B).
 
 :func:`algorithm1` is the one implementation of both passes, over plain
-per-task values.  :class:`DSPPreemption` feeds it from the engine's
-:class:`~repro.sim.arraycore.ArrayCore`: Eq. 12–13 scores and the scan
+per-task values.  :class:`DSPPreemption` feeds it from
+:meth:`~DSPPreemption.select_preemptions_from_core`, the one decision
+method of every policy (the baselines run
+:class:`~repro.sim.policy.ClaimPolicy`'s claim loop there instead).  Its
+inputs come from the engine's :class:`~repro.sim.arraycore.ArrayCore`,
+which :meth:`DSPPreemption.attach` takes from the engine's
+:class:`~repro.sim.state.SimRuntime`: Eq. 12–13 scores and the scan
 signals come from the core's columns, C2 from the ancestor closures of
 :class:`~repro.sim.state.SimState`, and the visit order is the sorted
 running set followed by the queue head
@@ -53,7 +58,7 @@ from typing import AbstractSet, Mapping, Sequence
 
 from .._util import pairwise_mean_gap
 from ..config import DSPConfig
-from ..sim.policy import NodeView, PreemptionDecision, PreemptionPolicy
+from ..sim.policy import PreemptionDecision, PreemptionPolicy
 from ..sim.views import VIEW_QUEUE_LIMIT
 
 __all__ = ["DSPPreemption", "algorithm1"]
@@ -174,22 +179,17 @@ class DSPPreemption(PreemptionPolicy):
         self.name = "DSP" if self._config.use_pp else "DSPW/oPP"
         self._core = None
 
-    def attach(self, ctx) -> None:
-        """Adopt the engine's array core as this policy's scorer.
+    def attach(self, runtime) -> None:
+        """Adopt the engine's array core (``runtime.array``) as this
+        policy's scorer.
 
         Raises ``ValueError`` naming the differing fields when this
         policy's Eq. 12–13 parameters (γ, ω) differ from the engine's
         (:meth:`~repro.sim.arraycore.ArrayCore.scores_like`).
         """
-        core = ctx.priority_index
+        core = runtime.array
         core.scores_like(self._config)
         self._core = core
-
-    def select_preemptions(self, view: NodeView) -> Sequence[PreemptionDecision]:
-        raise NotImplementedError(
-            "DSPPreemption decides off the engine's array core "
-            "(select_preemptions_from_core), not over NodeView snapshots"
-        )
 
     def select_preemptions_from_core(
         self, runtime, node

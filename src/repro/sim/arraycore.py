@@ -18,9 +18,10 @@ loops against it:
   an epoch sweep costs one gather — DSP's Algorithm 1
   (:func:`~repro.core.preemption.algorithm1`) decides off these values
   and the scores alone;
-* **view assembly** — :class:`~repro.sim.views.ViewCache` computes every
-  ``TaskView`` signal of the baselines' snapshots for a node in one
-  vectorized shot.
+* **signal gathering** — :class:`~repro.sim.views.ViewCache` computes
+  the time-varying signals the baselines' claim loop reads (remaining
+  time, waiting time, preemptability) for a node in one vectorized
+  shot.
 
 Dispatch index and node versions
 --------------------------------
@@ -63,9 +64,9 @@ query between the emit and the mutation.
 
 Bit-exactness contract
 ----------------------
-Scores and view signals are produced by the same float operations in the
-same order as the scalar code (`TaskRuntime.remaining_time_at` and
-friends, ``PriorityEvaluator.compute``).  numpy elementwise binary
+Scores and gathered signals are produced by the same float operations
+in the same order as the scalar code (`TaskRuntime.remaining_time_at`
+and friends, ``PriorityEvaluator.compute``).  numpy elementwise binary
 float64 ops are IEEE-754 correctly rounded — identical to CPython scalar
 ops — so the only ordering hazard is reduction: Eq. 12 sums live-
 dependent scores *sequentially in insertion order*, which ``np.sum``'s
@@ -244,7 +245,7 @@ class ArrayCore:
 
     Held by the runtime as ``SimRuntime.array``.  Consumers — the DSP
     policy, the resilience retry ranking, the dispatcher, the stall
-    sweep, the baselines' snapshot builder and the snapshot counters — use
+    sweep, the baselines' signal gather and the snapshot counters — use
     ``priorities``/``scores_at``, ``scores_like``, the scans and
     ``stats()``; the engine drives ``attach``, ``register_job`` and
     ``retire_tasks``.
@@ -914,10 +915,9 @@ class ArrayCore:
         rate: float,
         max_preemptions: int,
     ) -> tuple[list, ...]:
-        """The victim-scan subset of :meth:`view_signals` — (overdue,
-        allowable, is_runnable, is_preemptable) only, identical float ops
-        — for policies that run Algorithm 1 straight off the columns and
-        never touch the waiting/stint signals.
+        """Algorithm 1's victim-scan signals — (overdue, allowable,
+        is_runnable, is_preemptable) — for policies that run it straight
+        off the columns.
 
         *rows* must all sit on one node whose current rate is *rate*.
         The first call of a (*now*, version, *max_preemptions*)
@@ -959,9 +959,9 @@ class ArrayCore:
         rate: float,
         max_preemptions: int,
     ) -> tuple[list, ...]:
-        """Every TaskView signal for *rows* (tasks of one node) in one
-        vectorized shot: (remaining, waiting, stint, overdue, allowable,
-        is_runnable, occupies, is_preemptable) as plain Python lists."""
+        """The claim-loop signals for *rows* (tasks of one node) in one
+        vectorized shot: (remaining, waiting, is_preemptable) as plain
+        Python lists."""
         idx = np.asarray(rows, dtype=np.intp)
         state = self._state.take(idx)
         remaining = _remaining_time(
@@ -976,26 +976,12 @@ class ArrayCore:
         )
 
         qs = self._queued_since.take(idx)
-        queued = ~np.isnan(qs)
-        stint = np.where(queued, np.maximum(0.0, now - qs), 0.0)
+        stint = np.where(~np.isnan(qs), np.maximum(0.0, now - qs), 0.0)
         waiting = self._total_wait.take(idx) + stint
-        baseline = np.maximum(qs, self._planned.take(idx))
-        overdue = np.where(queued, np.maximum(0.0, now - baseline), 0.0)
-        allowable = self._deadline.take(idx) - now - remaining
 
-        runnable = self._unfinished.take(idx) == 0
         occupies = (state == _RUNNING) | (state == _STALLED)
         preemptable = occupies & (self._preempt_count.take(idx) < max_preemptions)
-        return (
-            remaining.tolist(),
-            waiting.tolist(),
-            stint.tolist(),
-            overdue.tolist(),
-            allowable.tolist(),
-            runnable.tolist(),
-            occupies.tolist(),
-            preemptable.tolist(),
-        )
+        return remaining.tolist(), waiting.tolist(), preemptable.tolist()
 
     # --------------------------------------------------- snapshot/restore
     def rebuild_and_assert(self) -> None:

@@ -24,7 +24,7 @@ module                    responsibility
 :mod:`~repro.sim.dispatch`     rounds, queue→node dispatch, completion
 :mod:`~repro.sim.preemption_exec`  epoch tick, decision validation, suspend
 :mod:`~repro.sim.fault_sub`    applying injected faults to live state
-:mod:`~repro.sim.views`        NodeView/TaskView snapshots for baselines
+:mod:`~repro.sim.views`        per-node signal gather for baselines
 :mod:`~repro.sim.resilience`   retries, speculation, quarantine (optional)
 :mod:`~repro.sim.metrics`      bus subscriber accumulating RunMetrics
 :mod:`~repro.sim.tracelog`     bus subscriber recording Gantt segments
@@ -66,7 +66,6 @@ from ..config import (
     SnapshotConfig,
 )
 from ..dag.job import Job
-from ..dag.task import Task, TaskState
 from .arraycore import ArrayCore
 from .dispatch import DispatchSubsystem
 from .elastic import ElasticSubsystem, MembershipEvent, normalize_membership_plan
@@ -97,7 +96,6 @@ __all__ = [
     "SimulationError",
     "SimulationStuck",
     "SchedulerLike",
-    "SimContext",
 ]
 
 
@@ -109,65 +107,6 @@ class SchedulerLike(Protocol):
     (:class:`repro.core.schedule.Schedule` satisfies this)."""
 
     def schedule(self, jobs: Sequence[Job]) -> Any: ...
-
-
-class SimContext:
-    """Read-only engine facade handed to preemption policies at attach time.
-
-    Exposes the static task set, the per-task children map and live signal
-    accessors so a policy (e.g. DSP's Eq. 12 recursion) can reach *global*
-    runtime state, not just the node snapshot it is deciding for.
-    """
-
-    def __init__(self, runtime: SimRuntime):
-        self._rt = runtime
-
-    @property
-    def tasks(self) -> Mapping[str, Task]:
-        """All static tasks keyed by id."""
-        return self._rt.state.static_tasks
-
-    @property
-    def children(self) -> Mapping[str, tuple[str, ...]]:
-        """Direct dependents of every task."""
-        return self._rt.state.children
-
-    @property
-    def dsp_config(self) -> DSPConfig:
-        return self._rt.dsp_config
-
-    @property
-    def epoch(self) -> float:
-        return self._rt.sim_config.epoch
-
-    @property
-    def priority_index(self) -> ArrayCore:
-        """The engine's Eq. 12–13 scorer, the vectorized
-        :class:`~repro.sim.arraycore.ArrayCore`.  A policy adopting it
-        checks ``scores_like`` against its own config first, which raises
-        ``ValueError`` when the γ/ω weights differ."""
-        return self._rt.array
-
-    def now(self) -> float:
-        """Current simulation clock."""
-        return self._rt.now
-
-    def is_completed(self, task_id: str) -> bool:
-        """Whether *task_id* has finished."""
-        return self._rt.state.tasks[task_id].state is TaskState.COMPLETED
-
-    def remaining_time(self, task_id: str) -> float:
-        """Live :math:`t^{rem}` of a task at the engine's assigned rate."""
-        return self._rt.state.remaining_time(task_id, self._rt.now)
-
-    def waiting_time(self, task_id: str) -> float:
-        """Live :math:`t^w` of a task."""
-        return self._rt.state.tasks[task_id].waiting_time_at(self._rt.now)
-
-    def allowable_wait(self, task_id: str) -> float:
-        """Live :math:`t^a` of a task against its level deadline."""
-        rt = self._rt.state.tasks[task_id]
-        return rt.deadline - self._rt.now - self.remaining_time(task_id)
 
 
 class SimEngine:
@@ -390,9 +329,7 @@ class SimEngine:
 
         # The policy attaches before the durability layer opens any file:
         # a DSP policy scoring with other γ/ω than dsp_config raises here.
-        attach = getattr(policy, "attach", None)
-        if callable(attach):
-            attach(SimContext(rt))
+        policy.attach(rt)
 
         # Durability layer, attached after every behavioral subscriber so
         # recording observes the run without perturbing it.  The journal's

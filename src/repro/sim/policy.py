@@ -1,123 +1,45 @@
 """Preemption-policy interface between the engine and the strategies.
 
 At every epoch tick the engine asks the policy, for each contended node,
-which waiting tasks should evict which running tasks
-(:meth:`PreemptionPolicy.select_preemptions_from_core`).  By default the
-policy answers over a :class:`NodeView` — an immutable snapshot of one
-node's running set and waiting queue with the runtime signals the
-baselines consume (remaining time, waiting time, allowable waiting time,
-job class, resource footprint) — through :meth:`select_preemptions`.  The
-policy answers with :class:`PreemptionDecision` pairs; the engine
-validates and applies them, charging context-switch costs and counting
-disorders.
+which waiting tasks should evict which running tasks — one call,
+:meth:`PreemptionPolicy.select_preemptions_from_core` with the engine's
+:class:`~repro.sim.state.SimRuntime` and the node.  The policy answers
+with :class:`PreemptionDecision` pairs; the engine validates and applies
+them, charging context-switch costs and counting disorders.  Before the
+run the engine hands the policy the same runtime once, through the
+optional :meth:`PreemptionPolicy.attach` hook.
 
 Keeping the interface decision-only means DSP and all four baselines
 differ *only* in their decision logic — dispatch, bookkeeping and metric
 accounting are shared, so measured differences are attributable to the
 policies alone (the property the paper's §V-B comparison needs).
 
-The snapshot-based strategies open with the same victim scan: filter the
-running set down to preemptable members (optionally narrowed by a policy
-rule), then sort by a victim-preference key.  That substrate lives here
-as :func:`preemptable_victims`.  The baselines (SRPT, Amoeba, Natjam)
-additionally share the greedy pairing of claimants against the cheapest
-victim under an acceptance predicate (:func:`greedy_claim`), so each
-baseline contributes only its keys and predicate.
-:class:`~repro.sim.views.ViewCache` assembles the snapshots from the
-engine's vectorized array mirror; policy code sees only the ``TaskView``
-values.  DSP overrides
-:meth:`~PreemptionPolicy.select_preemptions_from_core` and runs
-Algorithm 1 straight off the mirror's columns, with no snapshot.
+DSP runs Algorithm 1 straight off the array core's columns
+(:mod:`repro.core.preemption`).  The baselines (SRPT, Amoeba, Natjam)
+share one claim loop, :class:`ClaimPolicy`: it gathers the node's
+:class:`~repro.sim.views.NodeSignals` (``runtime.views.build``), sorts
+the eligible preemptable running tasks by a victim key and the eligible
+queued tasks by a claimant key, and pairs them with
+:func:`greedy_claim` under an accept rule — so each baseline
+contributes only its keys, its accept rule and its filters.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
+
+if TYPE_CHECKING:
+    from .views import NodeSignals
 
 __all__ = [
-    "TaskView",
-    "NodeView",
     "PreemptionDecision",
     "PreemptionPolicy",
     "NullPreemption",
-    "preemptable_victims",
+    "ClaimPolicy",
     "greedy_claim",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class TaskView:
-    """Snapshot of one task's runtime state at an epoch boundary.
-
-    Attributes
-    ----------
-    task_id, job_id:
-        Identity.
-    remaining_time:
-        :math:`t^{rem}` — remaining work divided by the node's rate
-        (seconds), including pending recovery cost.
-    waiting_time:
-        :math:`t^w` — accumulated queued-wait over the task's lifetime
-        (seconds); the signal of Eq. 13.
-    stint_waiting_time:
-        Queued-wait of the *current* stint only (since the task last
-        entered the queue).
-    overdue_waiting_time:
-        Wait beyond ``max(stint start, planned start)``.  Algorithm 1's τ
-        starvation override keys on this: a task quietly waiting for its
-        scheduled slot is not starving, and one long-ago wait does not make
-        a task permanently urgent.
-    allowable_wait:
-        :math:`t^a` — slack before the task's level-deadline is lost
-        (seconds; may be negative).
-    is_runnable:
-        True when every parent has completed.
-    is_running:
-        True for members of the running set (False: waiting in queue).
-    is_preemptable:
-        Engine-level flag: False once a task has hit the preemption cap
-        (the starvation guard, see DESIGN.md §4) or is otherwise pinned.
-    resource_footprint:
-        ℓ1 size of the task's demand vector — the "most resources" signal
-        Amoeba and Natjam evict by.
-    job_weight:
-        Owning job's weight; Natjam treats weight >= 1 as production.
-    job_deadline:
-        Owning job's absolute deadline.
-    """
-
-    task_id: str
-    job_id: str
-    remaining_time: float
-    waiting_time: float
-    stint_waiting_time: float
-    overdue_waiting_time: float
-    allowable_wait: float
-    is_runnable: bool
-    is_running: bool
-    is_preemptable: bool
-    resource_footprint: float
-    job_weight: float
-    job_deadline: float
-
-
-@dataclass(frozen=True, slots=True)
-class NodeView:
-    """Snapshot of one node at an epoch boundary.
-
-    ``waiting`` preserves queue order (ascending planned start — Fig. 4);
-    ``running`` has no meaningful order.  ``epoch`` is the epoch length so
-    policies can apply the paper's "allowable waiting time larger than the
-    epoch" preemptability rule.
-    """
-
-    node_id: str
-    now: float
-    epoch: float
-    running: tuple[TaskView, ...]
-    waiting: tuple[TaskView, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,37 +52,18 @@ class PreemptionDecision:
     victim_task_id: str
 
 
-def preemptable_victims(
-    view: NodeView,
-    key: Callable[[TaskView], object],
-    eligible: Callable[[TaskView], bool] | None = None,
-) -> list[TaskView]:
-    """The snapshot's preemptable running tasks, cheapest victim first.
-
-    *key* orders victims by the policy's eviction preference (include the
-    task id as the final tiebreak for determinism); *eligible* optionally
-    narrows the pool further (e.g. Natjam's research-only rule).
-    """
-    victims = [
-        r
-        for r in view.running
-        if r.is_preemptable and (eligible is None or eligible(r))
-    ]
-    victims.sort(key=key)
-    return victims
-
-
 def greedy_claim(
-    claimants: Sequence[TaskView],
-    victims: Sequence[TaskView],
-    accepts: Callable[[TaskView, TaskView], bool] | None = None,
+    ids: Sequence[str],
+    claimants: Sequence[int],
+    victims: Sequence[int],
+    accepts: Callable[[int, int], bool],
 ) -> list[PreemptionDecision]:
     """Greedily pair *claimants* (in order) against the cheapest unclaimed
-    victim.
+    victim; both are positions into *ids*.
 
-    A victim is consumed only when *accepts*(claimant, victim) holds
-    (``None`` accepts unconditionally); a rejected claimant does **not**
-    consume the victim — the next claimant is tried against the same one.
+    A victim is consumed only when *accepts*(claimant, victim) holds; a
+    rejected claimant does **not** consume the victim — the next
+    claimant is tried against the same one.
     """
     decisions: list[PreemptionDecision] = []
     vi = 0
@@ -168,11 +71,11 @@ def greedy_claim(
         if vi >= len(victims):
             break
         victim = victims[vi]
-        if accepts is None or accepts(claimant, victim):
+        if accepts(claimant, victim):
             decisions.append(
                 PreemptionDecision(
-                    preempting_task_id=claimant.task_id,
-                    victim_task_id=victim.task_id,
+                    preempting_task_id=ids[claimant],
+                    victim_task_id=ids[victim],
                 )
             )
             vi += 1
@@ -196,33 +99,29 @@ class PreemptionPolicy(abc.ABC):
     #: Whether preempted tasks resume from their last checkpoint.
     uses_checkpointing: bool = True
     #: True for policies that never preempt — lets the engine skip the
-    #: per-node snapshot/sweep entirely without type-checking the policy.
+    #: per-node sweep entirely without type-checking the policy.
     is_noop: bool = False
     #: Human-readable policy name used in reports.
     name: str = "base"
 
+    def attach(self, runtime) -> None:
+        """Called once with the engine's
+        :class:`~repro.sim.state.SimRuntime` before the run starts; the
+        default does nothing."""
+
     @abc.abstractmethod
-    def select_preemptions(self, view: NodeView) -> Sequence[PreemptionDecision]:
-        """Decide this epoch's preemptions for one node.
+    def select_preemptions_from_core(
+        self, runtime, node
+    ) -> Sequence[PreemptionDecision]:
+        """Decide this epoch's preemptions for *node* (a
+        :class:`~repro.sim.executor.NodeRuntime` with a non-empty queue
+        and running set) at ``runtime.now``.
 
         Decisions are applied in order; each (preempting, victim) pair is
         re-validated by the engine against live state (both tasks still
         present, victim under the preemption cap, freed capacity
         sufficient), so a policy may be optimistic.
         """
-
-    def select_preemptions_from_core(
-        self, runtime, node
-    ) -> Sequence[PreemptionDecision]:
-        """Decide this epoch's preemptions for *node* at the engine's
-        current instant — the call the engine makes.
-
-        The default snapshots *node* from the engine's array mirror
-        (``runtime.views.build``) and defers to
-        :meth:`select_preemptions`; a policy that decides straight off the
-        mirror's columns overrides it (DSP does).
-        """
-        return self.select_preemptions(runtime.views.build(node, runtime.now))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
@@ -232,10 +131,64 @@ class NullPreemption(PreemptionPolicy):
     """No preemption at all — used to isolate the scheduling comparison of
     §V-A, where makespan differences must come from placement alone."""
 
-    respects_dependencies = True
-    uses_checkpointing = True
     is_noop = True
     name = "none"
 
-    def select_preemptions(self, view: NodeView) -> Sequence[PreemptionDecision]:
+    def select_preemptions_from_core(
+        self, runtime, node
+    ) -> Sequence[PreemptionDecision]:
         return ()
+
+
+class ClaimPolicy(PreemptionPolicy):
+    """The baselines' one claim loop over a node's gathered signals.
+
+    A subclass supplies :meth:`victim_key` and :meth:`claimant_key` (each
+    ending in the task id, for determinism) and may narrow the pools
+    (:meth:`is_victim`, :meth:`is_claimant`) or gate each pairing
+    (:meth:`accepts`).  Every hook takes the node's
+    :class:`~repro.sim.views.NodeSignals` and positions into its columns.
+    """
+
+    @abc.abstractmethod
+    def victim_key(self, s: NodeSignals, i: int) -> tuple:
+        """Eviction preference among running tasks, cheapest first."""
+
+    @abc.abstractmethod
+    def claimant_key(self, s: NodeSignals, i: int) -> tuple:
+        """Claim order among queued tasks, first claimant first."""
+
+    def is_victim(self, s: NodeSignals, i: int) -> bool:
+        """Whether preemptable running task *i* may be evicted at all."""
+        return True
+
+    def is_claimant(self, s: NodeSignals, i: int) -> bool:
+        """Whether queued task *i* may claim at all."""
+        return True
+
+    def accepts(self, s: NodeSignals, claimant: int, victim: int) -> bool:
+        """Whether *claimant* may evict *victim*."""
+        return True
+
+    def select_preemptions_from_core(
+        self, runtime, node
+    ) -> Sequence[PreemptionDecision]:
+        return self.claim(runtime.views.build(node, runtime.now))
+
+    def claim(self, s: NodeSignals) -> list[PreemptionDecision]:
+        """The claim loop over one node's signals (pure)."""
+        victims = sorted(
+            (
+                i
+                for i in range(s.split)
+                if s.preemptable[i] and self.is_victim(s, i)
+            ),
+            key=lambda i: self.victim_key(s, i),
+        )
+        claimants = sorted(
+            (i for i in range(s.split, len(s.ids)) if self.is_claimant(s, i)),
+            key=lambda i: self.claimant_key(s, i),
+        )
+        return greedy_claim(
+            s.ids, claimants, victims, lambda w, v: self.accepts(s, w, v)
+        )

@@ -7,7 +7,6 @@ import pytest
 from repro.cluster import Cluster, NodeSpec, ResourceVector, uniform_cluster
 from repro.config import DSPConfig, SimConfig
 from repro.dag import Job, Task, diamond_dag, fork_join_dag, paper_figure2_dag
-from repro.sim.policy import NodeView, TaskView
 
 
 @pytest.fixture

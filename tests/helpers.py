@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.cluster import ResourceVector
 from repro.dag import Task
-from repro.sim.policy import NodeView, TaskView
+from repro.sim.views import NodeSignals
 
 
 def make_task(
@@ -25,50 +25,44 @@ def make_task(
     )
 
 
-def make_view(
+def task_signals(
     task_id: str,
     *,
-    job_id: str = "J",
     remaining: float = 10.0,
     waiting: float = 0.0,
-    stint_waiting: float = 0.0,
-    overdue_waiting: float = 0.0,
-    allowable: float = 100.0,
-    runnable: bool = True,
-    running: bool = False,
     preemptable: bool = True,
     footprint: float = 1.0,
     weight: float = 0.0,
     deadline: float = 1000.0,
-) -> TaskView:
-    """TaskView factory with sane defaults for policy unit tests."""
-    return TaskView(
+) -> dict:
+    """One task's claim-loop signals, with sane defaults, for
+    :func:`make_signals`."""
+    return dict(
         task_id=task_id,
-        job_id=job_id,
-        remaining_time=remaining,
-        waiting_time=waiting,
-        stint_waiting_time=stint_waiting,
-        overdue_waiting_time=overdue_waiting,
-        allowable_wait=allowable,
-        is_runnable=runnable,
-        is_running=running,
-        is_preemptable=preemptable,
-        resource_footprint=footprint,
-        job_weight=weight,
-        job_deadline=deadline,
+        remaining=remaining,
+        waiting=waiting,
+        preemptable=preemptable,
+        footprint=footprint,
+        weight=weight,
+        deadline=deadline,
     )
 
 
-def make_node_view(
-    running: list[TaskView],
-    waiting: list[TaskView],
-    *,
-    node_id: str = "node-00",
-    now: float = 100.0,
-    epoch: float = 5.0,
-) -> NodeView:
-    """NodeView factory for policy unit tests."""
-    return NodeView(
-        node_id=node_id, now=now, epoch=epoch,
-        running=tuple(running), waiting=tuple(waiting),
+def make_signals(running: list[dict], waiting: list[dict]) -> NodeSignals:
+    """NodeSignals factory for policy unit tests: *running* and *waiting*
+    are :func:`task_signals` dicts, *waiting* in queue order."""
+    tasks = running + waiting
+
+    def column(name):
+        return [t[name] for t in tasks]
+
+    return NodeSignals(
+        ids=tuple(column("task_id")),
+        split=len(running),
+        remaining=column("remaining"),
+        waiting=column("waiting"),
+        preemptable=column("preemptable"),
+        footprint=column("footprint"),
+        weight=column("weight"),
+        deadline=column("deadline"),
     )

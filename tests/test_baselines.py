@@ -1,4 +1,10 @@
-"""Unit tests for the compared methods: Tetris, Aalo, Amoeba, Natjam, SRPT."""
+"""Unit tests for the compared methods: Tetris, Aalo, Amoeba, Natjam, SRPT.
+
+``TestClaimOracle`` holds the three preemption baselines to a reference
+written from §V over the scalar runtime formulas, at every contended
+node of seeded dependency-blind runs with node faults."""
+
+from dataclasses import dataclass
 
 import pytest
 
@@ -9,12 +15,23 @@ from repro.baselines import (
     SRPTPreemption,
     TetrisScheduler,
 )
-from repro.cluster import ResourceVector, uniform_cluster
-from repro.config import DSPConfig
-from repro.core import verify_schedule
+from repro.cluster import Cluster, NodeSpec, ResourceVector, uniform_cluster
+from repro.config import DSPConfig, SimConfig
+from repro.core import Schedule, TaskAssignment, verify_schedule
 from repro.dag import Job, Task, diamond_dag, layered_random_dag
+from repro.experiments import (
+    build_workload_for_cluster,
+    cluster_profile,
+    compute_level_deadlines,
+    default_config,
+    default_sim_config,
+    make_preemption_policies,
+    make_schedulers,
+)
+from repro.sim import PreemptionDecision, SimEngine, random_fault_plan
+from repro.sim.views import VIEW_QUEUE_LIMIT
 
-from tests.helpers import make_node_view, make_view
+from tests.helpers import make_signals, task_signals
 
 
 def mk(tid: str, parents=(), size=1000.0, cpu=1.0, mem=0.5) -> Task:
@@ -158,47 +175,80 @@ class TestSRPT:
 
     def test_priority_formula(self):
         p = SRPTPreemption(DSPConfig(srpt_alpha=0.5, srpt_beta=1.0))
-        v = make_view("t", remaining=2.0, waiting=10.0)
-        assert p.priority(v) == pytest.approx(0.5 * 10.0 + 1.0 / 2.0)
+        assert p.priority(10.0, 2.0) == pytest.approx(0.5 * 10.0 + 1.0 / 2.0)
 
     def test_short_remaining_preempts_long(self):
         p = SRPTPreemption()
-        view = make_node_view(
-            running=[make_view("long", running=True, remaining=100.0)],
-            waiting=[make_view("short", remaining=0.5)],
+        s = make_signals(
+            running=[task_signals("long", remaining=100.0)],
+            waiting=[task_signals("short", remaining=0.5)],
         )
-        d = list(p.select_preemptions(view))
+        d = p.claim(s)
         assert len(d) == 1 and d[0].victim_task_id == "long"
 
     def test_long_does_not_preempt_short(self):
         p = SRPTPreemption()
-        view = make_node_view(
-            running=[make_view("short", running=True, remaining=0.5)],
-            waiting=[make_view("long", remaining=100.0)],
+        s = make_signals(
+            running=[task_signals("short", remaining=0.5)],
+            waiting=[task_signals("long", remaining=100.0)],
         )
-        assert list(p.select_preemptions(view)) == []
+        assert p.claim(s) == []
 
     def test_considers_all_waiting(self):
         # Two victims available, two deserving waiters: both preempt (the
         # "all tasks in the waiting queue" property of §V).
         p = SRPTPreemption()
-        view = make_node_view(
+        s = make_signals(
             running=[
-                make_view("r1", running=True, remaining=100.0),
-                make_view("r2", running=True, remaining=90.0),
+                task_signals("r1", remaining=100.0),
+                task_signals("r2", remaining=90.0),
             ],
-            waiting=[make_view("w1", remaining=0.5), make_view("w2", remaining=0.6)],
+            waiting=[
+                task_signals("w1", remaining=0.5),
+                task_signals("w2", remaining=0.6),
+            ],
         )
-        assert len(list(p.select_preemptions(view))) == 2
+        assert len(p.claim(s)) == 2
 
     def test_ignores_runnability(self):
-        # Dependency-blind: promotes a non-runnable waiter too.
-        p = SRPTPreemption()
-        view = make_node_view(
-            running=[make_view("r", running=True, remaining=100.0)],
-            waiting=[make_view("w", remaining=0.5, runnable=False)],
+        # Dependency-blind: promotes a queued task whose parent is still
+        # running elsewhere, over a long runner on its node.
+        from tests.test_engine import FixedScheduler
+
+        cluster = Cluster([
+            NodeSpec(node_id=f"n{i}", cpu_size=1.0, mem_size=1.0,
+                     mips_per_unit=500.0)
+            for i in range(2)
+        ])
+        job = Job.from_tasks(
+            "J",
+            [mk("long", size=50_000.0), mk("p", size=5_000.0),
+             mk("c", size=500.0, parents=("p",))],
+            deadline=1e6,
         )
-        assert len(list(p.select_preemptions(view))) == 1
+        plan = Schedule({
+            "long": TaskAssignment("long", "n0", 0.0, 100.0),
+            "p": TaskAssignment("p", "n1", 0.0, 10.0),
+            "c": TaskAssignment("c", "n0", 50.0, 51.0),
+        })
+        claimed_unrunnable = []
+
+        class Recording(SRPTPreemption):
+            def select_preemptions_from_core(self, runtime, node):
+                decisions = super().select_preemptions_from_core(runtime, node)
+                tasks = runtime.state.tasks
+                claimed_unrunnable.extend(
+                    d.preempting_task_id for d in decisions
+                    if not tasks[d.preempting_task_id].is_runnable
+                )
+                return decisions
+
+        SimEngine(
+            cluster, [job], FixedScheduler(plan), preemption=Recording(),
+            sim_config=SimConfig(epoch=0.5, scheduling_period=10.0),
+            dependency_aware_dispatch=False,
+        ).run()
+        assert "c" in claimed_unrunnable
 
 
 class TestAmoeba:
@@ -209,32 +259,33 @@ class TestAmoeba:
 
     def test_most_resources_evicted_first(self):
         p = AmoebaPreemption()
-        view = make_node_view(
+        s = make_signals(
             running=[
-                make_view("fat", running=True, remaining=50.0, footprint=10.0),
-                make_view("thin", running=True, remaining=60.0, footprint=1.0),
+                task_signals("fat", remaining=50.0, footprint=10.0),
+                task_signals("thin", remaining=60.0, footprint=1.0),
             ],
-            waiting=[make_view("w", remaining=1.0)],
+            waiting=[task_signals("w", remaining=1.0)],
         )
-        d = list(p.select_preemptions(view))
-        assert d[0].victim_task_id == "fat"
+        assert p.claim(s)[0].victim_task_id == "fat"
 
     def test_only_shorter_remaining_preempts(self):
         p = AmoebaPreemption()
-        view = make_node_view(
-            running=[make_view("r", running=True, remaining=5.0, footprint=10.0)],
-            waiting=[make_view("w", remaining=50.0)],
+        s = make_signals(
+            running=[task_signals("r", remaining=5.0, footprint=10.0)],
+            waiting=[task_signals("w", remaining=50.0)],
         )
-        assert list(p.select_preemptions(view)) == []
+        assert p.claim(s) == []
 
     def test_shortest_waiting_first(self):
         p = AmoebaPreemption()
-        view = make_node_view(
-            running=[make_view("r", running=True, remaining=100.0, footprint=5.0)],
-            waiting=[make_view("w_long", remaining=20.0), make_view("w_short", remaining=1.0)],
+        s = make_signals(
+            running=[task_signals("r", remaining=100.0, footprint=5.0)],
+            waiting=[
+                task_signals("w_long", remaining=20.0),
+                task_signals("w_short", remaining=1.0),
+            ],
         )
-        d = list(p.select_preemptions(view))
-        assert d[0].preempting_task_id == "w_short"
+        assert p.claim(s)[0].preempting_task_id == "w_short"
 
 
 class TestNatjam:
@@ -245,59 +296,216 @@ class TestNatjam:
 
     def test_production_evicts_research(self):
         p = NatjamPreemption()
-        view = make_node_view(
-            running=[make_view("research", running=True, weight=0.0)],
-            waiting=[make_view("prod", weight=1.0)],
+        s = make_signals(
+            running=[task_signals("research", weight=0.0)],
+            waiting=[task_signals("prod", weight=1.0)],
         )
-        d = list(p.select_preemptions(view))
-        assert d == [type(d[0])("prod", "research")]
+        assert p.claim(s) == [PreemptionDecision("prod", "research")]
 
     def test_research_never_evicts(self):
         p = NatjamPreemption()
-        view = make_node_view(
-            running=[make_view("research", running=True, weight=0.0)],
-            waiting=[make_view("also_research", weight=0.0)],
+        s = make_signals(
+            running=[task_signals("research", weight=0.0)],
+            waiting=[task_signals("also_research", weight=0.0)],
         )
-        assert list(p.select_preemptions(view)) == []
+        assert p.claim(s) == []
 
     def test_production_never_victim(self):
         p = NatjamPreemption()
-        view = make_node_view(
-            running=[make_view("prod_r", running=True, weight=1.0)],
-            waiting=[make_view("prod_w", weight=1.0)],
+        s = make_signals(
+            running=[task_signals("prod_r", weight=1.0)],
+            waiting=[task_signals("prod_w", weight=1.0)],
         )
-        assert list(p.select_preemptions(view)) == []
+        assert p.claim(s) == []
 
     def test_three_level_eviction_order(self):
         p = NatjamPreemption()
         victims = [
-            make_view("most_res", running=True, weight=0.0, footprint=10.0,
-                      deadline=100.0, remaining=50.0),
-            make_view("max_dl", running=True, weight=0.0, footprint=5.0,
-                      deadline=900.0, remaining=50.0),
-            make_view("short_rem", running=True, weight=0.0, footprint=5.0,
-                      deadline=100.0, remaining=1.0),
+            task_signals("most_res", weight=0.0, footprint=10.0,
+                         deadline=100.0, remaining=50.0),
+            task_signals("max_dl", weight=0.0, footprint=5.0,
+                         deadline=900.0, remaining=50.0),
+            task_signals("short_rem", weight=0.0, footprint=5.0,
+                         deadline=100.0, remaining=1.0),
         ]
-        view = make_node_view(
-            running=victims,
-            waiting=[make_view("p", weight=1.0)],
-        )
-        d = list(p.select_preemptions(view))
+        s = make_signals(running=victims, waiting=[task_signals("p", weight=1.0)])
         # Level 1: most resources wins outright.
-        assert d[0].victim_task_id == "most_res"
+        assert p.claim(s)[0].victim_task_id == "most_res"
 
     def test_deadline_tiebreak(self):
         p = NatjamPreemption()
         victims = [
-            make_view("near_dl", running=True, weight=0.0, footprint=5.0,
-                      deadline=100.0, remaining=50.0),
-            make_view("far_dl", running=True, weight=0.0, footprint=5.0,
-                      deadline=900.0, remaining=50.0),
+            task_signals("near_dl", weight=0.0, footprint=5.0,
+                         deadline=100.0, remaining=50.0),
+            task_signals("far_dl", weight=0.0, footprint=5.0,
+                         deadline=900.0, remaining=50.0),
         ]
-        view = make_node_view(running=victims, waiting=[make_view("p", weight=1.0)])
-        d = list(p.select_preemptions(view))
+        s = make_signals(running=victims, waiting=[task_signals("p", weight=1.0)])
         # Equal resources: the max-deadline (most slack) research task goes.
-        assert d[0].victim_task_id == "far_dl"
+        assert p.claim(s)[0].victim_task_id == "far_dl"
+
+
+# ------------------------------------------------------------ oracle
+# The baselines' rules as written from §V, over per-task records whose
+# fields come from the scalar TaskRuntime formulas — independent of the
+# array core's gather and of the shared claim loop.
+
+
+@dataclass(frozen=True)
+class _Ref:
+    task_id: str
+    remaining: float
+    waiting: float
+    preemptable: bool
+    footprint: float
+    weight: float
+    deadline: float
+
+
+def _reference_tasks(runtime, node) -> tuple[list[_Ref], list[_Ref]]:
+    """(running, waiting) records of *node* at ``runtime.now``."""
+    state = runtime.state
+    now = runtime.now
+
+    def record(tid: str) -> _Ref:
+        t = state.tasks[tid]
+        job = state.jobs[t.task.job_id]
+        return _Ref(
+            task_id=tid,
+            remaining=t.remaining_time_at(now, node.rate),
+            waiting=t.waiting_time_at(now),
+            preemptable=(
+                t.occupies_resources and t.preempt_count < runtime.max_preemptions
+            ),
+            footprint=t.task.demand.norm1(),
+            weight=job.weight,
+            deadline=job.deadline,
+        )
+
+    return (
+        [record(tid) for tid in sorted(node.running)],
+        [record(tid) for tid in node.queued_ids(VIEW_QUEUE_LIMIT)],
+    )
+
+
+def _reference_pairing(claimants, victims, accepts) -> list[PreemptionDecision]:
+    """Claimants in order take the cheapest victim left when *accepts*
+    holds; a rejected claimant leaves the victim for the next one."""
+    decisions = []
+    victims = list(victims)
+    for w in claimants:
+        if not victims:
+            break
+        if accepts(w, victims[0]):
+            decisions.append(PreemptionDecision(w.task_id, victims.pop(0).task_id))
+    return decisions
+
+
+def _reference_amoeba(config, running, waiting):
+    victims = sorted(
+        (r for r in running if r.preemptable),
+        key=lambda r: (-r.footprint, -r.remaining, r.task_id),
+    )
+    claimants = sorted(waiting, key=lambda w: (w.remaining, w.task_id))
+    return _reference_pairing(
+        claimants, victims, lambda w, v: w.remaining < v.remaining
+    )
+
+
+def _reference_srpt(config, running, waiting):
+    def prio(t):
+        return config.srpt_alpha * t.waiting + config.srpt_beta / max(t.remaining, 1e-6)
+
+    victims = sorted(
+        (r for r in running if r.preemptable), key=lambda r: (prio(r), r.task_id)
+    )
+    claimants = sorted(waiting, key=lambda w: (-prio(w), w.task_id))
+    return _reference_pairing(claimants, victims, lambda w, v: prio(w) > prio(v))
+
+
+def _reference_natjam(config, running, waiting):
+    victims = sorted(
+        (r for r in running if r.preemptable and r.weight < 1.0),
+        key=lambda r: (-r.footprint, -r.deadline, r.remaining, r.task_id),
+    )
+    claimants = sorted(
+        (w for w in waiting if w.weight >= 1.0),
+        key=lambda w: (w.deadline, w.remaining, w.task_id),
+    )
+    return _reference_pairing(claimants, victims, lambda w, v: True)
+
+
+REFERENCE = {
+    "Amoeba": _reference_amoeba,
+    "SRPT": _reference_srpt,
+    "Natjam": _reference_natjam,
+}
+
+
+def _checked_run(name: str, seed: int, check) -> tuple[int, int]:
+    """A dependency-blind faulted run of baseline *name* that calls
+    ``check(runtime, node, decisions)`` at every contended node.
+    Returns (nodes checked, decisions)."""
+    cluster = cluster_profile("cluster", 5.0)
+    cfg = default_config()
+    sim = default_sim_config()
+    workload = build_workload_for_cluster(20, cluster, scale=20.0, seed=seed, config=cfg)
+    policy = make_preemption_policies(cfg)[name]
+    counts = [0, 0]
+    decide = policy.select_preemptions_from_core
+
+    def checked(runtime, node):
+        got = list(decide(runtime, node))
+        check(runtime, node, got)
+        counts[0] += 1
+        counts[1] += len(got)
+        return got
+
+    policy.select_preemptions_from_core = checked
+    SimEngine(
+        cluster, list(workload.jobs), make_schedulers(cluster, cfg)["DSP"],
+        preemption=policy, dsp_config=cfg, sim_config=sim,
+        task_deadlines=compute_level_deadlines(workload, cluster, cfg),
+        dependency_aware_dispatch=False,
+        faults=random_fault_plan(
+            cluster, horizon=sim.horizon / 100, rng=seed, mtbf=3600.0
+        ),
+    ).run()
+    return counts[0], counts[1]
+
+
+class TestClaimOracle:
+    @pytest.mark.parametrize("name", sorted(REFERENCE))
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_decisions_match_reference(self, name, seed):
+        config = default_config()
+
+        def check(runtime, node, got):
+            running, waiting = _reference_tasks(runtime, node)
+            assert got == REFERENCE[name](config, running, waiting)
+
+        nodes, decisions = _checked_run(name, seed, check)
+        assert nodes > 50 and decisions > 0
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE))
+    def test_gathered_signals_match_scalar(self, name):
+        """``ViewCache.build``'s columns equal the scalar formulas bit for
+        bit."""
+
+        def check(runtime, node, _got):
+            running, waiting = _reference_tasks(runtime, node)
+            tasks = running + waiting
+            s = runtime.views.build(node, runtime.now)
+            assert s.ids == tuple(t.task_id for t in tasks)
+            assert s.split == len(running)
+            for column in ("remaining", "waiting", "preemptable", "footprint",
+                           "weight", "deadline"):
+                assert list(getattr(s, column)) == [
+                    getattr(t, column) for t in tasks
+                ], column
+
+        nodes, _ = _checked_run(name, 7, check)
+        assert nodes > 50
 
 
 class TestTetrisCapacityProperty:

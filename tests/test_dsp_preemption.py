@@ -19,7 +19,7 @@ from repro.dag import Job
 from repro.sim import SimEngine
 from repro.sim.policy import PreemptionDecision
 
-from tests.helpers import make_node_view, make_task, make_view
+from tests.helpers import make_task
 
 
 @dataclass
@@ -213,11 +213,6 @@ class TestEdgeCases:
         rt = engine.runtime
         with pytest.raises(RuntimeError, match="attach"):
             DSPPreemption().select_preemptions_from_core(rt, rt.state.nodes["n0"])
-
-    def test_view_protocol_refused(self):
-        view = make_node_view([make_view("r", running=True)], [make_view("w")])
-        with pytest.raises(NotImplementedError):
-            DSPPreemption().select_preemptions(view)
 
     def test_non_preemptable_running_ignored(self):
         decisions = decide(

@@ -14,6 +14,7 @@ from repro.sim import (
     SimEngine,
     SimulationStuck,
 )
+from repro.sim.views import VIEW_QUEUE_LIMIT
 
 
 def mk(tid: str, job="J", parents=(), size=1000.0, cpu=1.0, mem=0.5) -> Task:
@@ -43,7 +44,8 @@ def run_engine(cluster, jobs, policy=None, aware=None, **kw):
 
 
 class ScriptedPolicy(PreemptionPolicy):
-    """Returns a fixed decision once, when both tasks appear in the view."""
+    """Returns a fixed decision once, when the preempting task is in the
+    node's queue head and the victim in its running set."""
 
     name = "scripted"
 
@@ -54,12 +56,11 @@ class ScriptedPolicy(PreemptionPolicy):
         self._vic = victim
         self.fired = False
 
-    def select_preemptions(self, view):
+    def select_preemptions_from_core(self, runtime, node):
         if self.fired:
             return ()
-        waiting_ids = {t.task_id for t in view.waiting}
-        running_ids = {t.task_id for t in view.running}
-        if self._pre in waiting_ids and self._vic in running_ids:
+        waiting_ids = set(node.queued_ids(VIEW_QUEUE_LIMIT))
+        if self._pre in waiting_ids and self._vic in node.running:
             self.fired = True
             return [PreemptionDecision(self._pre, self._vic)]
         return ()

@@ -1,17 +1,17 @@
-"""Edge-case tests for the engine: context accessors, view limits, stalled
-victims, transfer re-charging, and round-boundary arrivals."""
+"""Edge-case tests for the engine: the policy attach hook, the queue-head
+limit, stalled victims, transfer re-charging, and round-boundary
+arrivals."""
 
 import pytest
 
 from repro.cluster import Cluster, NodeSpec, ResourceVector, uniform_cluster
 from repro.config import DSPConfig, SimConfig
 from repro.core import HeuristicScheduler, Schedule, TaskAssignment
-from repro.dag import Job, Task
+from repro.dag import Job, Task, TaskState
 from repro.sim import (
     NullPreemption,
     PreemptionDecision,
     PreemptionPolicy,
-    SimContext,
     SimEngine,
 )
 from repro.sim.views import VIEW_QUEUE_LIMIT
@@ -36,35 +36,40 @@ def one_lane(n=1) -> Cluster:
 
 
 class ContextProbe(PreemptionPolicy):
-    """Policy that snapshots SimContext values at its first epoch."""
+    """Policy that samples the attached runtime at its first decision."""
 
     name = "probe"
 
     def __init__(self):
-        self.ctx: SimContext | None = None
+        self.runtime = None
         self.samples: dict = {}
 
-    def attach(self, ctx):
-        self.ctx = ctx
+    def attach(self, runtime):
+        self.runtime = runtime
 
-    def select_preemptions(self, view):
-        if not self.samples and view.waiting:
-            tid = view.waiting[0].task_id
+    def select_preemptions_from_core(self, runtime, node):
+        assert runtime is self.runtime
+        queued = node.queued_ids(VIEW_QUEUE_LIMIT)
+        if not self.samples and queued:
+            tid = queued[0]
+            state = runtime.state
+            now = runtime.now
+            remaining = state.remaining_time(tid, now)
             self.samples = {
-                "now": self.ctx.now(),
-                "remaining": self.ctx.remaining_time(tid),
-                "waiting": self.ctx.waiting_time(tid),
-                "allowable": self.ctx.allowable_wait(tid),
-                "completed": self.ctx.is_completed(tid),
-                "epoch": self.ctx.epoch,
-                "children": dict(self.ctx.children),
-                "num_tasks": len(self.ctx.tasks),
+                "now": now,
+                "remaining": remaining,
+                "waiting": state.tasks[tid].waiting_time_at(now),
+                "allowable": state.tasks[tid].deadline - now - remaining,
+                "completed": state.tasks[tid].state is TaskState.COMPLETED,
+                "epoch": runtime.sim_config.epoch,
+                "children": dict(state.children),
+                "num_tasks": len(state.static_tasks),
             }
         return ()
 
 
-class TestSimContext:
-    def test_accessors_consistent(self):
+class TestAttachHook:
+    def test_attach_receives_runtime(self):
         cl = one_lane(1)
         job = Job.from_tasks(
             "J", [mk("a", size=5000.0), mk("b", size=1000.0)], deadline=1e5
@@ -89,15 +94,20 @@ class TestSimContext:
 
 class TestViewQueueLimit:
     def test_policy_sees_at_most_limit(self):
-        """With more tasks queued than the limit, the snapshot shows
-        exactly the first VIEW_QUEUE_LIMIT of them."""
+        """With more tasks queued than the limit, ``ViewCache.build``
+        gathers exactly the first VIEW_QUEUE_LIMIT of them, in queue
+        order, after the sorted running set."""
         seen = []
 
         class Counter(PreemptionPolicy):
             name = "counter"
 
-            def select_preemptions(self, view):
-                seen.append(len(view.waiting))
+            def select_preemptions_from_core(self, runtime, node):
+                signals = runtime.views.build(node, runtime.now)
+                assert signals.ids[:signals.split] == tuple(sorted(node.running))
+                head = signals.ids[signals.split:]
+                assert list(head) == node.queued_ids(VIEW_QUEUE_LIMIT)
+                seen.append((len(head), node.queue_length))
                 return ()
 
         cl = one_lane(1)
@@ -109,8 +119,10 @@ class TestViewQueueLimit:
             sim_config=SimConfig(epoch=1.0, scheduling_period=10.0),
         )
         eng.run()
-        assert max(seen) == VIEW_QUEUE_LIMIT
-        assert min(seen) < VIEW_QUEUE_LIMIT  # the queue drained below it
+        assert max(n for n, _ in seen) == VIEW_QUEUE_LIMIT
+        assert max(q for _, q in seen) > VIEW_QUEUE_LIMIT
+        assert min(n for n, _ in seen) < VIEW_QUEUE_LIMIT  # the queue drained
+        assert all(n == min(q, VIEW_QUEUE_LIMIT) for n, q in seen)
 
 
 class TestStalledVictim:
@@ -135,14 +147,17 @@ class TestStalledVictim:
             name = "evict-stalled"
             fired = False
 
-            def select_preemptions(self, view):
+            def select_preemptions_from_core(self, runtime, node):
                 if self.fired:
                     return ()
-                stalled = [r for r in view.running if not r.is_runnable]
-                waiting = [w for w in view.waiting if w.is_runnable]
+                tasks = runtime.state.tasks
+                stalled = [t for t in sorted(node.running) if not tasks[t].is_runnable]
+                waiting = [
+                    t for t in node.queued_ids(VIEW_QUEUE_LIMIT) if tasks[t].is_runnable
+                ]
                 if stalled and waiting:
                     self.fired = True
-                    return [PreemptionDecision(waiting[0].task_id, stalled[0].task_id)]
+                    return [PreemptionDecision(waiting[0], stalled[0])]
                 return ()
 
         policy = EvictStalled()

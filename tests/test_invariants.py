@@ -14,11 +14,11 @@ from repro.sim import (
     FaultEvent,
     FaultKind,
     InvariantViolation,
-    NodeView,
     PreemptionDecision,
     PreemptionPolicy,
     SimEngine,
 )
+from repro.sim.views import VIEW_QUEUE_LIMIT
 
 
 def mk(tid: str, size=5000.0, parents=()) -> Task:
@@ -54,24 +54,22 @@ class C2Violator(PreemptionPolicy):
     uses_checkpointing = True
     name = "c2-violator"
 
-    def attach(self, ctx) -> None:
-        self._tasks = ctx.tasks
-
-    def _ancestors(self, task_id: str) -> set[str]:
+    @staticmethod
+    def _ancestors(tasks, task_id: str) -> set[str]:
         found: set[str] = set()
-        stack = list(self._tasks[task_id].parents)
+        stack = list(tasks[task_id].parents)
         while stack:
             tid = stack.pop()
             if tid not in found:
                 found.add(tid)
-                stack.extend(self._tasks[tid].parents)
+                stack.extend(tasks[tid].parents)
         return found
 
-    def select_preemptions(self, view: NodeView):
-        running = {r.task_id for r in view.running}
-        for waiting in view.waiting:
-            for ancestor in sorted(self._ancestors(waiting.task_id) & running):
-                return [PreemptionDecision(waiting.task_id, ancestor)]
+    def select_preemptions_from_core(self, runtime, node):
+        tasks = runtime.state.static_tasks
+        for waiting in node.queued_ids(VIEW_QUEUE_LIMIT):
+            for ancestor in sorted(self._ancestors(tasks, waiting) & node.running):
+                return [PreemptionDecision(waiting, ancestor)]
         return []
 
 

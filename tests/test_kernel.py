@@ -215,9 +215,9 @@ class TestDeterminism:
         assert metrics["tasks_completed"] == 9.0
 
 
-# ---------------------------------------------------------------- view cache
-class TestViewCache:
-    def test_cache_rebuilds_only_dirty_nodes(self):
+# ------------------------------------------------------------ run state
+class TestRunState:
+    def test_dsp_run_completes(self):
         cluster = cluster_profile("cluster", 1.0)
         cfg = default_config()
         workload = build_workload_for_cluster(

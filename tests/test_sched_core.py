@@ -53,7 +53,6 @@ from repro.experiments.harness import (
 )
 from repro.sim import (
     EpochTick,
-    SimContext,
     SimEngine,
     SimulatedCrash,
     inject_crash,
@@ -556,13 +555,13 @@ class TestAlgorithm1Oracle:
 # ------------------------------------------------------------- wiring
 class TestCoreKnobs:
     def test_knob_wiring(self):
-        """One wiring: the engine always builds the array core and exposes
-        it as the scoring seam, and ``SimConfig`` carries no selector
-        knob (its settable fields are exactly the run parameters)."""
+        """One wiring: the engine always builds the array core (the
+        scoring seam a policy adopts from the runtime at attach), and
+        ``SimConfig`` carries no selector knob (its settable fields are
+        exactly the run parameters)."""
         engine = _faulty_engine(0, DSPConfig())
         rt = engine.runtime
         assert isinstance(rt.array, ArrayCore)
-        assert SimContext(rt).priority_index is rt.array
         assert [f.name for f in dataclasses.fields(SimConfig)] == [
             "epoch",
             "scheduling_period",
