@@ -19,7 +19,7 @@ out and that drive its measured behaviour:
 from __future__ import annotations
 
 from ..config import DSPConfig
-from ..sim.policy import ClaimPolicy
+from ..sim.policy import ClaimPolicy, PreemptionDecision, greedy_claim
 from ..sim.views import NodeSignals
 
 __all__ = ["SRPTPreemption"]
@@ -46,6 +46,15 @@ class SRPTPreemption(ClaimPolicy):
             + self._config.srpt_beta / max(remaining, _REMAINING_FLOOR)
         )
 
+    def priorities(self, s: NodeSignals) -> list[float]:
+        """:meth:`priority` of every task of one gather, with the same
+        float operations."""
+        alpha, beta = self._config.srpt_alpha, self._config.srpt_beta
+        return [
+            alpha * w + beta / max(r, _REMAINING_FLOOR)
+            for w, r in zip(s.waiting, s.remaining)
+        ]
+
     def _priority_of(self, s: NodeSignals, i: int) -> float:
         return self.priority(s.waiting[i], s.remaining[i])
 
@@ -59,3 +68,28 @@ class SRPTPreemption(ClaimPolicy):
 
     def accepts(self, s: NodeSignals, claimant: int, victim: int) -> bool:
         return self._priority_of(s, claimant) > self._priority_of(s, victim)
+
+    def claim(self, s: NodeSignals) -> list[PreemptionDecision]:
+        """:meth:`ClaimPolicy.claim` with the keys and gate above, read
+        from one priority column per gather instead of one
+        :meth:`priority` per key and accept call.  Each pool sorts as
+        (key, position) tuples; ids are distinct, so positions never
+        decide."""
+        prio = self.priorities(s)
+        ids, split = s.ids, s.split
+        preemptable = s.preemptable
+        victims = [
+            i
+            for *_key, i in sorted(
+                (prio[i], ids[i], i) for i in range(split) if preemptable[i]
+            )
+        ]
+        claimants = [
+            i
+            for *_key, i in sorted(
+                (-prio[i], ids[i], i) for i in range(split, len(ids))
+            )
+        ]
+        return greedy_claim(
+            ids, claimants, victims, lambda w, v: prio[w] > prio[v]
+        )

@@ -224,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     spl.add_argument(
         "--admit-batch", type=int, default=32, metavar="N",
-        help="max jobs admitted per frontier round (default 32)",
+        help="max jobs admitted per frontier round, and max jobs drawn "
+        "ahead of admission (default 32)",
     )
     spl.add_argument(
         "--pump-pops", type=int, default=512, metavar="N",

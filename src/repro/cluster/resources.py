@@ -32,9 +32,12 @@ class ResourceVector:
     bandwidth: float = 0.0
 
     def __post_init__(self) -> None:
-        for dim in ("cpu", "mem", "disk", "bandwidth"):
-            if getattr(self, dim) < 0:
-                raise ValueError(f"resource {dim} must be >= 0, got {getattr(self, dim)!r}")
+        if self.cpu < 0 or self.mem < 0 or self.disk < 0 or self.bandwidth < 0:
+            for dim in ("cpu", "mem", "disk", "bandwidth"):
+                if getattr(self, dim) < 0:
+                    raise ValueError(
+                        f"resource {dim} must be >= 0, got {getattr(self, dim)!r}"
+                    )
 
     # -- arithmetic ------------------------------------------------------
     def __add__(self, other: "ResourceVector") -> "ResourceVector":

@@ -223,7 +223,8 @@ class FrontierConfig:
         watchdog off and is what crash-recovery parity relies on.
     admit_batch:
         Maximum jobs admitted per frontier step (bounds the work done
-        between event pumps).
+        between event pumps); also the most jobs the frontier draws ahead
+        of admission, one per kernel settle point.
     pump_pops:
         Maximum kernel event pops per frontier step once admission is
         blocked (window full or source dry).

@@ -107,9 +107,40 @@ def order_and_children(
 ) -> tuple[list[str], dict[str, tuple[str, ...]]]:
     """:func:`topological_order` and :func:`build_children_map` from one
     Kahn pass: the child lists the pass builds become the children map
-    (sorted, as :func:`build_children_map` returns them)."""
+    (sorted, as :func:`build_children_map` returns them).
+
+    When the ids ascend in mapping order and every parent comes before
+    its child, that order is the topological order (the Kahn pass would
+    pop the smallest ready id each time, which is always the next one),
+    and one scan checks it; any other mapping takes the Kahn pass, which
+    also names the unknown parent or the cycle.
+    """
+    children = _ascending_children(tasks)
+    if children is not None:
+        # Appended in ascending id order: already sorted.
+        return list(children), {tid: tuple(kids) for tid, kids in children.items()}
     order, children = _kahn(tasks)
     return order, {tid: tuple(sorted(kids)) for tid, kids in children.items()}
+
+
+def _ascending_children(
+    tasks: Mapping[str, Task],
+) -> dict[str, list[str]] | None:
+    """The child lists of *tasks* if its ids ascend in mapping order and
+    every parent comes before its child, else None."""
+    children: dict[str, list[str]] = {}
+    last = ""
+    for tid, task in tasks.items():
+        if tid <= last:
+            return None
+        for parent in task.parents:
+            kids = children.get(parent)
+            if kids is None:
+                return None  # unknown, or later in the mapping
+            kids.append(tid)
+        children[tid] = []
+        last = tid
+    return children
 
 
 def _kahn(
@@ -273,6 +304,7 @@ def critical_path_length(
     """
     finish: dict[str, float] = {}
     for tid in topological_order(tasks) if order is None else order:
-        start = max((finish[p] for p in tasks[tid].parents), default=0.0)
+        parents = tasks[tid].parents
+        start = max([finish[p] for p in parents]) if parents else 0.0
         finish[tid] = start + exec_time[tid]
     return max(finish.values(), default=0.0)

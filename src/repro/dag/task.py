@@ -86,12 +86,16 @@ class Task:
             raise ValueError("task_id must be non-empty")
         if not self.job_id:
             raise ValueError("job_id must be non-empty")
-        check_positive(self.size_mi, "size_mi")
-        if self.task_id in self.parents:
-            raise ValueError(f"task {self.task_id!r} cannot depend on itself")
-        if len(set(self.parents)) != len(self.parents):
-            raise ValueError(f"task {self.task_id!r} has duplicate parents")
-        check_non_negative(self.input_mb, "input_mb")
+        if not self.size_mi > 0:
+            check_positive(self.size_mi, "size_mi")
+        parents = self.parents
+        if parents:
+            if self.task_id in parents:
+                raise ValueError(f"task {self.task_id!r} cannot depend on itself")
+            if len(parents) > 1 and len(set(parents)) != len(parents):
+                raise ValueError(f"task {self.task_id!r} has duplicate parents")
+        if self.input_mb != 0.0:
+            check_non_negative(self.input_mb, "input_mb")
         if self.input_mb > 0 and not self.input_location:
             raise ValueError(
                 f"task {self.task_id!r} has input_mb but no input_location"

@@ -129,6 +129,7 @@ _QUEUED = _STATE_CODE[TaskState.QUEUED]
 _RUNNING = _STATE_CODE[TaskState.RUNNING]
 _STALLED = _STATE_CODE[TaskState.STALLED]
 _COMPLETED = _STATE_CODE[TaskState.COMPLETED]
+_PENDING = _STATE_CODE[TaskState.PENDING]
 _QUEUED_STATE = TaskState.QUEUED
 _STALLED_STATE = TaskState.STALLED
 
@@ -354,38 +355,51 @@ class ArrayCore:
     def register_job(self, job) -> None:
         """Allocate rows for a (batch- or streaming-admitted) job's tasks
         and wire its static structure.  Jobs are self-contained DAGs, so
-        registration is purely additive."""
+        registration is purely additive.
+
+        The job's runtimes are fresh: the engine registers a job right
+        after :meth:`SimState.register_job <repro.sim.state.SimState.register_job>`
+        built them, before any event can touch it.  A row not in use holds
+        the free-row values (``__init__``, :meth:`_grow` and
+        :meth:`retire_tasks` write the same ones), and a fresh runtime
+        differs from them only in its state, its unfinished-parent count
+        and its static size and deadline, so only those columns (and the
+        live-dependent count) are written; :meth:`_sync_row` would write
+        the same values."""
         rows: dict[str, int] = {}
+        alloc = self._ids.alloc
+        row_of, id_of = self._row_of, self._id_of
         for tid in job.tasks:
-            row = self._ids.alloc()
+            row = alloc()
             if row >= self._cap:
                 self._grow()
             rows[tid] = row
-            self._row_of[tid] = row
-            if row == len(self._id_of):
-                self._id_of.append(tid)
+            row_of[tid] = row
+            if row == len(id_of):
+                id_of.append(tid)
             else:
-                self._id_of[row] = tid
+                id_of[row] = tid
         # Children in the same insertion order the stateless evaluator
         # builds: iterate tasks, append to each parent.
-        for task in job.tasks.values():
+        child_rows = self._child_rows
+        for tid, task in job.tasks.items():
             for parent in task.parents:
-                self._child_rows[rows[parent]].append(rows[task.task_id])
+                child_rows[rows[parent]].append(rows[tid])
         # Static heights via reverse topological order.
-        heights: dict[str, int] = {}
+        height = self._height
         for tid in reversed(job.topo_order):
-            kids = self._child_rows[rows[tid]]
-            heights[tid] = (
-                1 + max(self._height[r] for r in kids) if kids else 0
-            )
-            self._height[rows[tid]] = heights[tid]
-        state = self._rt.state
-        for tid in job.tasks:
             row = rows[tid]
-            t = state.tasks[tid]
-            self._write_static(row, t)
-            self._sync_row(row, t)
-            self._live_deps[row] = len(self._child_rows[row])
+            kids = child_rows[row]
+            height[row] = 1 + max([height[r] for r in kids]) if kids else 0
+        tasks = self._rt.state.tasks
+        runtimes = [tasks[tid] for tid in job.tasks]
+        order = list(rows.values())
+        idx = np.array(order, dtype=np.intp)
+        self._size[idx] = [t.task.size_mi for t in runtimes]
+        self._deadline[idx] = [t.deadline for t in runtimes]
+        self._state[idx] = _PENDING
+        self._unfinished[idx] = [t.unfinished_parents for t in runtimes]
+        self._live_deps[idx] = [len(child_rows[row]) for row in order]
         self._levels_stale = True
         self._version += 1
 

@@ -529,9 +529,9 @@ class SimEngine:
             )
         rt.state.register_job(job, task_deadlines)
         rt.array.register_job(job)
-        rt.metrics.register_job(job.job_id, job.arrival_time, job.deadline)
-        for tid in job.tasks:
-            rt.metrics.register_task(tid, job.job_id)
+        rt.metrics.register_job(
+            job.job_id, job.arrival_time, job.deadline, job.tasks
+        )
         rt.kernel.schedule(job.arrival_time, EventKind.JOB_ARRIVAL, job.job_id)
         if not rt.kernel.queue.has_kind(EventKind.SCHEDULING_ROUND):
             rt.kernel.schedule(job.arrival_time, EventKind.SCHEDULING_ROUND, None)
@@ -605,9 +605,9 @@ class SimEngine:
             # jobs/tasks) inside the snapshot — re-seeding would duplicate
             # every arrival.
             for job in state.jobs.values():
-                rt.metrics.register_job(job.job_id, job.arrival_time, job.deadline)
-                for tid in job.tasks:
-                    rt.metrics.register_task(tid, job.job_id)
+                rt.metrics.register_job(
+                    job.job_id, job.arrival_time, job.deadline, job.tasks
+                )
                 rt.kernel.schedule(
                     job.arrival_time, EventKind.JOB_ARRIVAL, job.job_id
                 )

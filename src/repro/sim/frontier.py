@@ -49,8 +49,10 @@ diverge in *admission order* (never in correctness).
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+from collections import deque
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 
@@ -161,7 +163,15 @@ class RetirementManager:
 
 # ================================================================== sources
 class WorkloadSource(Protocol):
-    """One-job-at-a-time workload producer with a resumable cursor."""
+    """One-job-at-a-time workload producer with a resumable cursor.
+
+    ``next_job`` must be a pure function of the cursor: the frontier
+    draws jobs ahead of their admission, and a snapshot stores only the
+    cursor before the oldest drawn job not yet admitted.  The frontier
+    takes ``cursor()`` before every job it draws ahead, unless the source
+    also offers ``mark()`` (a cheap position token) and ``cursor(mark)``
+    to expand one, as :class:`TraceSource` does.
+    """
 
     @property
     def exhausted(self) -> bool: ...
@@ -180,7 +190,7 @@ class SyntheticSource:
 
     Draws from the generator in *exactly* the same order as the batch
     builder — the up-front arrival-rate uniform, then per job the trace
-    records followed by the inter-arrival gap — so job ``i`` here is
+    columns followed by the inter-arrival gap — so job ``i`` here is
     bit-identical to ``build_workload(spec, seed).jobs[i]``.  The cursor
     is the (drawn, arrival, PCG64 state) triple: restore is O(1)
     regardless of how far the run got.
@@ -215,19 +225,18 @@ class SyntheticSource:
         return float(self._gen.exponential(self._mean_gap / rate_factor))
 
     def next_job(self) -> Job | None:
-        from ..trace.workload import job_from_records
+        from ..trace.workload import job_from_columns
 
         if self.exhausted:
             return None
         spec = self._spec
         i = self._drawn
         job_id = f"J{i:04d}"
-        records = self._trace_gen.job_records(
-            job_id, self._class_sizes[i % 3], job_start=0.0
-        )
-        job = job_from_records(
+        num_tasks = self._class_sizes[i % 3]
+        job = job_from_columns(
             job_id,
-            records,
+            range(num_tasks),
+            self._trace_gen.job_columns(job_id, num_tasks, job_start=0.0),
             arrival_time=self._arrival,
             deadline_slack=spec.deadline_slack,
             reference_rate_mips=spec.reference_rate_mips,
@@ -290,7 +299,9 @@ class TraceSource:
         self._fh = None
         self._offset = 0
         self._eof = False
-        self._seen: set[str] = set()
+        # Insertion-ordered, so a mark can name the ids seen by then as a
+        # prefix length.
+        self._seen: dict[str, None] = {}
         self._drawn = 0
         self.stats = TraceSkipStats()
         self.reordered_jobs = 0
@@ -344,7 +355,7 @@ class TraceSource:
                 self.reordered_jobs += 1
                 self.stats.reads += len(rows)
                 continue
-            self._seen.add(group_id)
+            self._seen[group_id] = None
             records = read_task_events(rows, self.stats)
             if not records:
                 continue  # every row of the group was quarantined
@@ -361,15 +372,36 @@ class TraceSource:
             )
         return None
 
-    def cursor(self) -> dict:
+    def mark(self) -> tuple:
+        """A cheap token for the current position, which
+        :meth:`cursor` expands later.  The frontier takes one before
+        every job it draws ahead; a full cursor would copy the seen-set
+        each time."""
+        return (
+            self._offset,
+            self._eof,
+            self._drawn,
+            len(self._seen),
+            self.reordered_jobs,
+            dict(vars(self.stats)),
+        )
+
+    def cursor(self, mark: tuple | None = None) -> dict:
+        """The resume cursor of the current position, or of *mark*
+        (taken from this source since its last :meth:`restore`)."""
+        from ..trace.google_reader import TraceSkipStats
+
+        offset, eof, drawn, seen, reordered, stats = (
+            self.mark() if mark is None else mark
+        )
         return {
             "kind": "trace",
-            "offset": self._offset,
-            "eof": self._eof,
-            "drawn": self._drawn,
-            "seen": sorted(self._seen),
-            "reordered_jobs": self.reordered_jobs,
-            "stats": self.stats.as_dict(),
+            "offset": offset,
+            "eof": eof,
+            "drawn": drawn,
+            "seen": sorted(itertools.islice(self._seen, seen)),
+            "reordered_jobs": reordered,
+            "stats": TraceSkipStats(**stats).as_dict(),
         }
 
     def restore(self, cursor: dict) -> None:
@@ -381,7 +413,7 @@ class TraceSource:
         self._offset = int(cursor["offset"])
         self._eof = bool(cursor["eof"])
         self._drawn = int(cursor.get("drawn", 0))
-        self._seen = set(cursor.get("seen", ()))
+        self._seen = dict.fromkeys(cursor.get("seen", ()))
         self.reordered_jobs = int(cursor.get("reordered_jobs", 0))
         saved = cursor.get("stats", {})
         for name in type(self.stats).__dataclass_fields__:
@@ -455,19 +487,29 @@ class StreamingFrontier:
     """Drives a streaming engine from a :class:`WorkloadSource` under a
     bounded live-task window, with optional memory-pressure degradation.
 
-    The loop alternates *admit* (stage jobs from the source while
+    The loop alternates *admit* (submit up to ``admit_batch`` jobs while
     ``live_tasks + job_tasks <= max_live_tasks``, clamping arrivals that
     precede the clock onto it — the deadline shifts by the same delta so
-    slack is preserved) with *pump* (at most ``pump_pops`` events).  One
-    staged job buffers at the window's edge so an oversized job never
-    deadlocks an empty window: it is admitted alone.
+    slack is preserved) with *pump* (at most ``pump_pops`` events).  A
+    job that does not fit waits at the head of the lookahead, so an
+    oversized job never deadlocks an empty window: it is admitted alone.
+
+    Drawing a job from the source is split from admitting it.  A kernel
+    settle observer draws one job per settle point into a *lookahead* of
+    at most ``admit_batch`` jobs, so building jobs is spread between
+    events instead of stalling the loop for a whole batch; :meth:`admit`
+    draws from the source itself only while the lookahead is empty (the
+    first window fill).  Drawing is a pure function of the source
+    cursor, and admission keeps its slice boundaries, window test and
+    clock clamp, so where a job was drawn never shows in the run.
 
     Requires an engine built with ``streaming=True`` **and**
     ``SimConfig.retire_completed`` — without retirement the window could
     only ever fill, never drain.  The frontier registers itself as the
     engine's snapshot provider, so automatic snapshots carry the source
-    cursor, the staged job and the admission counters; ``restore_state``
-    puts them back after :meth:`SimEngine.restore
+    cursor before the oldest unadmitted job (no job bodies: a resumed run
+    draws the lookahead again) and the admission counters;
+    ``restore_state`` puts them back after :meth:`SimEngine.restore
     <repro.sim.engine.SimEngine.restore>` rebuilt the live window.
     """
 
@@ -491,7 +533,13 @@ class StreamingFrontier:
         self._source = source
         self._cfg = cfg
         self._deadlines = task_deadlines
-        self._staged: Job | None = None
+        # Drawn, not yet admitted jobs, oldest first, each with the source
+        # position before it (a mark, or a cursor for a source without
+        # marks).  A position of None is a job restored from a snapshot
+        # that carried its body.
+        self._lookahead: deque[tuple[object, Job]] = deque()
+        self._position = getattr(source, "mark", source.cursor)
+        self._marks = hasattr(source, "mark")
         self._paused = False
         self._steps = 0
         # Pop count at the current pump slice's start, and the budget left
@@ -514,6 +562,7 @@ class StreamingFrontier:
             )
         engine.frontier_provider = self.snapshot_state
         engine.frontier_describe = self.describe
+        engine.runtime.kernel.settle_observers.append(self._draw_ahead)
 
     # ------------------------------------------------------------ accessors
     @property
@@ -530,8 +579,11 @@ class StreamingFrontier:
             f"pending={len(self._engine.retirement.pending)}",
             f"source={self._source.describe()}",
         ]
-        if self._staged is not None:
-            bits.append(f"staged={self._staged.job_id}")
+        if self._lookahead:
+            bits.append(
+                f"lookahead={len(self._lookahead)} "
+                f"(head {self._lookahead[0][1].job_id})"
+            )
         if self.shed:
             bits.append(f"shed={self.shed}")
         if self._paused:
@@ -539,11 +591,26 @@ class StreamingFrontier:
         return "frontier(" + ", ".join(bits) + ")"
 
     # ------------------------------------------------------------ admission
+    def _draw(self) -> Job | None:
+        """Draw the next job from the source onto the lookahead's tail."""
+        position = self._position()
+        job = self._source.next_job()
+        if job is not None:
+            self._lookahead.append((position, job))
+        return job
+
+    def _draw_ahead(self, _event) -> None:
+        """Settle observer: draw at most one job while the lookahead has
+        room, so no settle point builds more than one job."""
+        if len(self._lookahead) < self._cfg.admit_batch and not (
+            self._source.exhausted
+        ):
+            self._draw()
+
     def _next_waiting(self) -> Job | None:
-        """The staged job if any, else the next from the source."""
-        if self._staged is not None:
-            job, self._staged = self._staged, None
-            return job
+        """Take the oldest drawn job, else the next from the source."""
+        if self._lookahead:
+            return self._lookahead.popleft()[1]
         return self._source.next_job()
 
     def _submit(self, job: Job) -> None:
@@ -562,15 +629,19 @@ class StreamingFrontier:
             return 0
         cfg = self._cfg
         state = self._engine.runtime.state
+        lookahead = self._lookahead
         admitted = 0
         while admitted < cfg.admit_batch:
-            job = self._next_waiting()
-            if job is None:
-                break
+            if lookahead:
+                job = lookahead[0][1]
+            else:
+                job = self._draw()
+                if job is None:
+                    break
             live = len(state.tasks)
             if live and live + len(job.tasks) > cfg.max_live_tasks:
-                self._staged = job  # window full; re-offered next round
-                break
+                break  # window full; the head is re-offered next round
+            lookahead.popleft()
             self._submit(job)
             admitted += 1
         return admitted
@@ -607,7 +678,7 @@ class StreamingFrontier:
             )
 
     def _shed(self, count: int) -> int:
-        """Spill up to *count* waiting jobs (staged + source head) to the
+        """Spill up to *count* waiting jobs (lookahead, then source) to the
         JSONL side file; each is journaled as a ``JobShed`` event and can
         be resubmitted from the spill later."""
         engine = self._engine
@@ -628,7 +699,7 @@ class StreamingFrontier:
     # ------------------------------------------------------------ main loop
     def _drained(self) -> bool:
         return (
-            self._staged is None
+            not self._lookahead
             and self._source.exhausted
             and self._engine.runtime.state.all_done()
         )
@@ -708,8 +779,10 @@ class StreamingFrontier:
 
     # ------------------------------------------------------------- snapshot
     def snapshot_state(self) -> dict:
-        """The frontier's snapshot section: admission counters, the
-        staged job (it exists nowhere else) and the source cursor."""
+        """The frontier's snapshot section: admission counters and the
+        source cursor before the oldest unadmitted job.  ``staged`` holds
+        a job body only while a job restored from an older snapshot's
+        ``staged`` entry still waits; it exists nowhere else."""
         slice_remaining = 0
         if self._slice_start is not None:
             slice_remaining = max(
@@ -718,6 +791,14 @@ class StreamingFrontier:
                 + self._cfg.pump_pops
                 - self._engine.runtime.kernel.pops,
             )
+        drawn = list(self._lookahead)
+        staged = drawn.pop(0)[1] if drawn and drawn[0][0] is None else None
+        if not drawn:
+            source = self._source.cursor()
+        elif self._marks:
+            source = self._source.cursor(drawn[0][0])
+        else:
+            source = drawn[0][0]
         return {
             "admitted": self.admitted,
             "admitted_tasks": self.admitted_tasks,
@@ -725,10 +806,8 @@ class StreamingFrontier:
             "paused": self._paused,
             "steps": self._steps,
             "slice_remaining": slice_remaining,
-            "staged": (
-                job_to_dict(self._staged) if self._staged is not None else None
-            ),
-            "source": self._source.cursor(),
+            "staged": job_to_dict(staged) if staged is not None else None,
+            "source": source,
         }
 
     def restore_state(self, data: dict | None) -> None:
@@ -742,8 +821,10 @@ class StreamingFrontier:
         self._paused = bool(data.get("paused", False))
         self._steps = int(data.get("steps", 0))
         self._slice_remaining = int(data.get("slice_remaining", 0))
+        self._lookahead.clear()
         staged = data.get("staged")
-        self._staged = job_from_dict(staged) if staged is not None else None
+        if staged is not None:
+            self._lookahead.append((None, job_from_dict(staged)))
         source = data.get("source")
         if source is not None:
             self._source.restore(source)

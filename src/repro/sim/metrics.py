@@ -19,7 +19,7 @@ accumulates exactly the quantities the paper's evaluation plots:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from . import kernel as _k
@@ -411,10 +411,21 @@ class MetricsCollector:
             setattr(self, name, dict(data["dicts"][name]))
 
     # -- registration ------------------------------------------------------
-    def register_job(self, job_id: str, arrival: float, deadline: float) -> None:
-        """Declare a job before its tasks report anything."""
+    def register_job(
+        self,
+        job_id: str,
+        arrival: float,
+        deadline: float,
+        task_ids: Iterable[str] = (),
+    ) -> None:
+        """Declare a job before its tasks report anything, and with it
+        *task_ids* as :meth:`register_task` would, in order."""
         self._job_arrivals[job_id] = arrival
         self._job_deadlines[job_id] = deadline
+        self._job_of_task.update(dict.fromkeys(task_ids, job_id))
+        setdefault = self._task_waits.setdefault
+        for task_id in task_ids:
+            setdefault(task_id, 0.0)
 
     def register_task(self, task_id: str, job_id: str) -> None:
         """Declare a task as belonging to *job_id*."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from ..cluster.cluster import Cluster
+from ..cluster.resources import ResourceVector
 from ..config import DSPConfig, SimConfig
 from ..dag.job import Job
 from ..dag.task import Task, TaskState
@@ -48,41 +49,36 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["SimState", "SimRuntime", "build_state"]
 
+_NO_ANCESTORS: frozenset[str] = frozenset()
+
 
 class SimState:
     """World-state of one simulation run (static structure + runtimes).
 
-    Jobs enter either up front (:func:`build_state` registers the whole
-    batch workload) or one at a time through :meth:`register_job` — the
-    streaming-admission path the service frontend uses.  Registration is
-    strictly additive: existing runtimes, counters and memoized closures
-    are never touched, so a job can be admitted between timed events of a
-    live run.
+    Jobs enter through :meth:`register_job`, either up front
+    (:func:`build_state` registers the whole batch workload) or one at a
+    time — the streaming-admission path the service frontend uses.
+    Registration is strictly additive: existing runtimes, counters and
+    memoized closures are never touched, so a job can be admitted between
+    timed events of a live run.
     """
 
     def __init__(
         self,
-        jobs: Mapping[str, Job],
-        static_tasks: dict[str, Task],
-        children: dict[str, tuple[str, ...]],
-        job_of: dict[str, str],
-        ancestors: dict[str, frozenset[str]],
-        tasks: dict[str, TaskRuntime],
         nodes: dict[str, NodeRuntime],
+        capacities: Sequence[ResourceVector] = (),
     ) -> None:
-        self.jobs = dict(jobs)
-        self.static_tasks = static_tasks
-        self.children = children
-        self.job_of = job_of
+        self.jobs: dict[str, Job] = {}
+        self.static_tasks: dict[str, Task] = {}
+        self.children: dict[str, tuple[str, ...]] = {}
+        self.job_of: dict[str, str] = {}
         #: Full ancestor closure per task, memoized once at registration —
         #: C2 checks and view building become set intersections instead of
         #: per-epoch graph walks.
-        self.ancestors = ancestors
-        self.tasks = tasks
+        self.ancestors: dict[str, frozenset[str]] = {}
+        self.tasks: dict[str, TaskRuntime] = {}
         self.nodes = nodes
-        self.job_remaining: dict[str, int] = {
-            jid: len(job.tasks) for jid, job in self.jobs.items()
-        }
+        self.job_remaining: dict[str, int] = {}
         self.unscheduled: list[str] = []  # job ids arrived but not yet planned
         self.arrived: set[str] = set()
         self.completed_tasks = 0
@@ -96,9 +92,10 @@ class SimState:
         self.dispatched_this_tick = False
         self.dispatch_gates: list[Callable[[str], bool]] = []
         self.progress_holds: list[Callable[[float], bool]] = []
-        #: Node capacity vectors, for admission-time demand validation
-        #: (set by :func:`build_state`).
-        self.capacities: tuple = ()
+        #: The distinct node capacities no other one covers, for
+        #: admission-time demand validation: a demand fits some node
+        #: exactly when it fits one of these.
+        self.capacities = _uncovered(capacities)
 
     # ------------------------------------------------------------ admission
     def register_job(
@@ -108,43 +105,52 @@ class SimState:
     ) -> None:
         """Add *job* to the world state (streaming admission).
 
-        Validates exactly what :func:`build_state` validates for the batch
-        path — duplicate job/task ids, undispatchable demands — and builds
-        the same derived structures (children map, memoized ancestor
-        closures, task runtimes).  Raises ``ValueError`` on id collisions
-        and :class:`~repro.sim.kernel.SimulationStuck` when a task demand
+        Validates duplicate job/task ids and undispatchable demands before
+        it changes anything, then builds the derived structures (children
+        map, memoized ancestor closures, task runtimes).  Raises
+        ``ValueError`` on id collisions and
+        :class:`~repro.sim.kernel.SimulationStuck` when a task demand
         exceeds every node's capacity.
         """
         if job.job_id in self.jobs:
             raise ValueError(f"duplicate job id {job.job_id!r}")
-        for tid in job.tasks:
-            if tid in self.static_tasks:
-                raise ValueError(f"duplicate task id {tid!r} across jobs")
+        static_tasks = self.static_tasks
+        if not static_tasks.keys().isdisjoint(job.tasks):
+            tid = next(tid for tid in job.tasks if tid in static_tasks)
+            raise ValueError(f"duplicate task id {tid!r} across jobs")
         deadlines = task_deadlines or {}
-        for tid, task in job.tasks.items():
-            if self.capacities and not any(
-                task.demand.fits_within(cap) for cap in self.capacities
-            ):
-                raise SimulationStuck(
-                    f"task {tid} demand {task.demand} exceeds every node's capacity"
-                )
-        self.jobs[job.job_id] = job
-        self.job_remaining[job.job_id] = len(job.tasks)
-        for tid, task in job.tasks.items():
-            self.static_tasks[tid] = task
-            self.job_of[tid] = job.job_id
+        capacities = self.capacities
+        if capacities:
+            for tid, task in job.tasks.items():
+                demand = task.demand
+                for cap in capacities:
+                    if demand.fits_within(cap):
+                        break
+                else:
+                    raise SimulationStuck(
+                        f"task {tid} demand {demand} exceeds every node's capacity"
+                    )
+        job_id = job.job_id
+        self.jobs[job_id] = job
+        self.job_remaining[job_id] = len(job.tasks)
+        static_tasks.update(job.tasks)
+        self.job_of.update(dict.fromkeys(job.tasks, job_id))
         self.children.update(job.children)
+        ancestors = self.ancestors
+        tasks = job.tasks
         for tid in job.topo_order:
-            anc: set[str] = set()
-            for p in job.tasks[tid].parents:
-                anc.add(p)
-                anc |= self.ancestors[p]
-            self.ancestors[tid] = frozenset(anc)
-        for tid, task in job.tasks.items():
-            self.tasks[tid] = TaskRuntime(
-                task=task,
-                deadline=deadlines.get(tid, job.deadline),
-                unfinished_parents=len(task.parents),
+            parents = tasks[tid].parents
+            ancestors[tid] = (
+                frozenset(parents).union(*[ancestors[p] for p in parents])
+                if parents
+                else _NO_ANCESTORS
+            )
+        runtimes = self.tasks
+        deadline = job.deadline
+        for tid, task in tasks.items():
+            # (task, deadline, unfinished_parents), positionally: cheaper.
+            runtimes[tid] = TaskRuntime(
+                task, deadlines.get(tid, deadline), len(task.parents)
             )
 
     # ----------------------------------------------------------- retirement
@@ -234,58 +240,31 @@ def build_state(
     """
     if not jobs and not allow_empty:
         raise ValueError("SimEngine needs at least one job")
-    by_id: dict[str, Job] = {}
-    for job in jobs:
-        if job.job_id in by_id:
-            raise ValueError(f"duplicate job id {job.job_id!r}")
-        by_id[job.job_id] = job
-
-    static_tasks: dict[str, Task] = {}
-    children: dict[str, tuple[str, ...]] = {}
-    job_of: dict[str, str] = {}
-    for job in by_id.values():
-        for tid, task in job.tasks.items():
-            if tid in static_tasks:
-                raise ValueError(f"duplicate task id {tid!r} across jobs")
-            static_tasks[tid] = task
-            job_of[tid] = job.job_id
-        children.update(job.children)
-
-    # Memoized ancestor closures (one pass in topological order).
-    ancestors: dict[str, frozenset[str]] = {}
-    for job in by_id.values():
-        for tid in job.topo_order:
-            anc: set[str] = set()
-            for p in job.tasks[tid].parents:
-                anc.add(p)
-                anc |= ancestors[p]
-            ancestors[tid] = frozenset(anc)
-
-    tasks: dict[str, TaskRuntime] = {}
-    deadlines = dict(task_deadlines or {})
-    smallest = min((n.capacity for n in cluster), key=lambda c: c.norm1())
-    for job in by_id.values():
-        for tid, task in job.tasks.items():
-            if not task.demand.fits_within(smallest) and not any(
-                task.demand.fits_within(n.capacity) for n in cluster
-            ):
-                raise SimulationStuck(
-                    f"task {tid} demand {task.demand} exceeds every node's capacity"
-                )
-            tasks[tid] = TaskRuntime(
-                task=task,
-                deadline=deadlines.get(tid, job.deadline),
-                unfinished_parents=len(task.parents),
-            )
     nodes: dict[str, NodeRuntime] = {
         n.node_id: NodeRuntime(
             n, n.processing_rate(dsp_config.theta_cpu, dsp_config.theta_mem)
         )
         for n in cluster
     }
-    state = SimState(by_id, static_tasks, children, job_of, ancestors, tasks, nodes)
-    state.capacities = tuple(n.capacity for n in cluster)
+    state = SimState(nodes, [n.capacity for n in cluster])
+    for job in jobs:
+        state.register_job(job, task_deadlines)
     return state
+
+
+def _uncovered(
+    capacities: Sequence[ResourceVector],
+) -> tuple[ResourceVector, ...]:
+    """The distinct *capacities* that no other one covers in every
+    dimension, in their first-seen order."""
+    distinct = list(dict.fromkeys(capacities))
+    return tuple(
+        cap
+        for cap in distinct
+        if not any(
+            other != cap and cap.fits_within(other, tol=0.0) for other in distinct
+        )
+    )
 
 
 class SimRuntime:

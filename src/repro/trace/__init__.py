@@ -2,7 +2,7 @@
 CSV persistence, and the workload builder."""
 
 from .google_trace import GoogleTraceGenerator, TraceTaskRecord
-from .dependency_infer import infer_dependencies
+from .dependency_infer import infer_dependencies, infer_from_columns
 from .google_reader import (
     FINISH_EVENT,
     SCHEDULE_EVENT,
@@ -24,6 +24,7 @@ from .workload import (
     Workload,
     WorkloadSpec,
     build_workload,
+    job_from_columns,
     job_from_records,
 )
 
@@ -31,6 +32,7 @@ __all__ = [
     "GoogleTraceGenerator",
     "TraceTaskRecord",
     "infer_dependencies",
+    "infer_from_columns",
     "FINISH_EVENT",
     "SCHEDULE_EVENT",
     "TraceSkipStats",
@@ -49,4 +51,5 @@ __all__ = [
     "WorkloadSpec",
     "build_workload",
     "job_from_records",
+    "job_from_columns",
 ]

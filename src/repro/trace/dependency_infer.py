@@ -23,7 +23,7 @@ from typing import Sequence
 from ..dag.generators import MAX_DEPENDENTS, MAX_LEVELS
 from .google_trace import TraceTaskRecord
 
-__all__ = ["infer_dependencies"]
+__all__ = ["infer_dependencies", "infer_from_columns"]
 
 
 def infer_dependencies(
@@ -64,6 +64,28 @@ def infer_dependencies(
     job_ids = {r.job_id for r in records}
     if len(job_ids) > 1:
         raise ValueError(f"records must belong to one job, got {sorted(job_ids)}")
+    return infer_from_columns(
+        [r.task_index for r in records],
+        [r.start_time for r in records],
+        [r.end_time for r in records],
+        max_levels,
+        max_dependents,
+        max_parents,
+    )
+
+
+def infer_from_columns(
+    indices: Sequence[int],
+    starts: Sequence[float],
+    ends: Sequence[float],
+    max_levels: int = MAX_LEVELS,
+    max_dependents: int = MAX_DEPENDENTS,
+    max_parents: int = 3,
+) -> dict[int, tuple[int, ...]]:
+    """:func:`infer_dependencies` over one job's records given as aligned
+    columns (task index, start time, end time), as
+    :meth:`~repro.trace.google_trace.GoogleTraceGenerator.job_columns`
+    draws them: the same parent map."""
     if max_levels < 1:
         raise ValueError(f"max_levels must be >= 1, got {max_levels}")
     if max_dependents < 0:
@@ -71,7 +93,8 @@ def infer_dependencies(
     if max_parents < 1:
         raise ValueError(f"max_parents must be >= 1, got {max_parents}")
 
-    ordered = sorted(records, key=lambda r: (r.start_time, r.task_index))
+    # Start-time order, ties by index, then by position (a stable sort).
+    ordered = sorted(zip(starts, indices, range(len(indices)), ends))
     parents: dict[int, tuple[int, ...]] = {}
     level: dict[int, int] = {}
     child_count: dict[int, int] = {}
@@ -82,18 +105,34 @@ def infer_dependencies(
     # with a full set of dependents can never be chosen again, so it
     # leaves the list (or never enters it) and every entry is eligible.
     eligible: list[tuple[float, int]] = []
+    may_parent = max_dependents > 0
+    bisect_right, insort, inf = bisect.bisect_right, bisect.insort, math.inf
 
-    for rec in ordered:
-        hi = bisect.bisect_right(eligible, (rec.start_time, math.inf))
-        lo = max(0, hi - max_parents)
-        chosen = [-entry[1] for entry in eligible[lo:hi]]
-        parents[rec.task_index] = tuple(sorted(chosen))
-        level[rec.task_index] = 1 + max((level[c] for c in chosen), default=0)
-        for c in chosen:
-            child_count[c] = child_count.get(c, 0) + 1
-        if any(child_count[c] >= max_dependents for c in chosen):
-            eligible[lo:hi] = [e for e in eligible[lo:hi] if child_count[-e[1]] < max_dependents]
-        if level[rec.task_index] < max_levels and max_dependents > 0:
-            bisect.insort(eligible, (rec.end_time, -rec.task_index))
+    for start, index, _pos, end in ordered:
+        hi = bisect_right(eligible, (start, inf))
+        lo = hi - max_parents if hi > max_parents else 0
+        if lo == hi:
+            parents[index] = ()
+            depth = 1
+        else:
+            chosen = sorted([-entry[1] for entry in eligible[lo:hi]])
+            parents[index] = tuple(chosen)
+            depth = 0
+            saturated = False
+            for c in chosen:
+                if level[c] > depth:
+                    depth = level[c]
+                count = child_count.get(c, 0) + 1
+                child_count[c] = count
+                if count >= max_dependents:
+                    saturated = True
+            depth += 1
+            if saturated:
+                eligible[lo:hi] = [
+                    e for e in eligible[lo:hi] if child_count[-e[1]] < max_dependents
+                ]
+        level[index] = depth
+        if depth < max_levels and may_parent:
+            insort(eligible, (end, -index))
 
     return parents

@@ -131,23 +131,49 @@ class GoogleTraceGenerator:
         which produces a realistic mix of overlapping (parallel) and
         non-overlapping (dependent) windows for the §V inference rule.
         """
+        columns = self.job_columns(job_id, num_tasks, job_start)
+        return [
+            TraceTaskRecord(job_id, idx, start, end, cpu, mem)
+            for idx, (start, end, cpu, mem) in enumerate(zip(*columns))
+        ]
+
+    def job_columns(
+        self, job_id: str, num_tasks: int, job_start: float = 0.0
+    ) -> tuple[list[float], list[float], list[float], list[float]]:
+        """:meth:`job_records` as aligned columns ``(starts, ends, cpus,
+        mems)``, task index = position: the same draws and the same
+        checks, without a record object per task."""
         check_positive(num_tasks, "num_tasks")
-        records: list[TraceTaskRecord] = []
+        # sample_duration, sample_cpu and sample_mem inlined, in their
+        # draw order: the loop runs once per task of every generated job.
+        rng = self._rng
+        lognormal, beta, exponential = rng.lognormal, rng.beta, rng.exponential
+        mu, sigma, lo, hi = self._mu, self._sigma, self._min, self._max
+        stagger = self._stagger
+        starts: list[float] = []
+        ends: list[float] = []
+        cpus: list[float] = []
+        mems: list[float] = []
         start = job_start
         for idx in range(num_tasks):
-            duration = self.sample_duration()
-            records.append(
-                TraceTaskRecord(
-                    job_id=job_id,
-                    task_index=idx,
-                    start_time=start,
-                    end_time=start + duration,
-                    cpu=self.sample_cpu(),
-                    mem=self.sample_mem(),
-                )
-            )
-            start += float(self._rng.exponential(self._stagger))
-        return records
+            # Each clamp is min(max(x, floor), ceiling) spelled out.
+            duration = float(lognormal(mu, sigma))
+            duration = lo if lo > duration else duration
+            duration = float(hi if hi < duration else duration)
+            cpu = float(beta(2.0, 8.0))
+            cpu = 1e-3 if 1e-3 > cpu else 1.0 if 1.0 < cpu else cpu
+            mem = float(beta(2.0, 8.0))
+            mem = 1e-3 if 1e-3 > mem else 1.0 if 1.0 < mem else mem
+            end = start + duration
+            if end <= start or not 0.0 < cpu <= 1.0 or not 0.0 < mem <= 1.0:
+                # The record's own checks raise, with its message.
+                TraceTaskRecord(job_id, idx, start, end, cpu, mem)
+            starts.append(start)
+            ends.append(end)
+            cpus.append(cpu)
+            mems.append(mem)
+            start += float(exponential(stagger))
+        return starts, ends, cpus, mems
 
     def trace(
         self, jobs: Sequence[tuple[str, int]], inter_job_gap: float = 60.0

@@ -20,6 +20,7 @@ scale used per figure.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -31,10 +32,20 @@ from ..cluster.resources import ResourceVector
 from ..dag.graph import critical_path_length
 from ..dag.job import Job
 from ..dag.task import Task
-from .dependency_infer import infer_dependencies
+from .dependency_infer import infer_from_columns
 from .google_trace import GoogleTraceGenerator
 
-__all__ = ["WorkloadSpec", "Workload", "build_workload", "job_from_records"]
+__all__ = [
+    "WorkloadSpec",
+    "Workload",
+    "build_workload",
+    "job_from_records",
+    "job_from_columns",
+]
+
+#: Records in task-index order (already so for read traces, which the
+#: sort then only checks).
+_INDEX_ORDER = operator.attrgetter("task_index")
 
 #: Fixed per-task disk and bandwidth demands from §V.
 TASK_DISK_MB = 0.02
@@ -179,24 +190,67 @@ def job_from_records(
     reference node, and dependencies come from the §V no-overlap rule.  The
     deadline is ``arrival + slack × critical-path time``.
     """
-    parent_map = infer_dependencies(records)
-    tid_of = {rec.task_index: f"{job_id}.T{rec.task_index:04d}" for rec in records}
+    job_ids = {r.job_id for r in records}
+    if len(job_ids) > 1:
+        raise ValueError(f"records must belong to one job, got {sorted(job_ids)}")
+    ordered = sorted(records, key=_INDEX_ORDER)
+    return job_from_columns(
+        job_id,
+        [r.task_index for r in ordered],
+        ([r.start_time for r in ordered], [r.end_time for r in ordered],
+         [r.cpu for r in ordered], [r.mem for r in ordered]),
+        arrival_time,
+        deadline_slack,
+        reference_rate_mips,
+        reference_node_cpu,
+        reference_node_mem,
+        weight,
+    )
+
+
+def job_from_columns(
+    job_id: str,
+    indices: Sequence[int],
+    columns: tuple[Sequence[float], ...],
+    arrival_time: float,
+    deadline_slack: float,
+    reference_rate_mips: float,
+    reference_node_cpu: float = 8.0,
+    reference_node_mem: float = 16.0,
+    weight: float = 0.0,
+) -> Job:
+    """:func:`job_from_records` over one job's records given as aligned
+    columns in task-index order: *indices* and ``(starts, ends, cpus,
+    mems)``, as :meth:`~repro.trace.google_trace.GoogleTraceGenerator.job_columns`
+    draws them (with ``range(num_tasks)``).  The same job, bit for bit.
+    """
+    starts, ends, cpus, mems = columns
+    parent_map = infer_from_columns(indices, starts, ends)
+    check_positive(reference_rate_mips, "reference_rate_mips")
+    tid_of = {index: f"{job_id}.T{index:04d}" for index in indices}
+    disk, bandwidth = TASK_DISK_MB, TASK_BANDWIDTH_MBPS
     tasks: dict[str, Task] = {}
-    for rec in sorted(records, key=lambda r: r.task_index):
-        tid = tid_of[rec.task_index]
+    exec_time: dict[str, float] = {}
+    for index, start, end, cpu, mem in zip(indices, starts, ends, cpus, mems):
+        tid = tid_of[index]
+        size_mi = (end - start) * reference_rate_mips
+        parents = parent_map[index]
+        # Positional arguments: this runs once per task of every job, and
+        # keywords cost more than the rest of the call.
         tasks[tid] = Task(
-            task_id=tid,
-            job_id=job_id,
-            size_mi=rec.duration * reference_rate_mips,
-            demand=ResourceVector(
-                cpu=rec.cpu * reference_node_cpu,
-                mem=rec.mem * reference_node_mem,
-                disk=TASK_DISK_MB,
-                bandwidth=TASK_BANDWIDTH_MBPS,
+            tid,
+            job_id,
+            size_mi,
+            ResourceVector(
+                cpu * reference_node_cpu,
+                mem * reference_node_mem,
+                disk,
+                bandwidth,
             ),
-            parents=tuple(tid_of[p] for p in parent_map[rec.task_index]),
+            tuple([tid_of[p] for p in parents]) if parents else (),
         )
-    exec_time = {tid: t.execution_time(reference_rate_mips) for tid, t in tasks.items()}
+        # Task.execution_time, without re-checking the rate per task.
+        exec_time[tid] = size_mi / reference_rate_mips
     # The parent map is keyed in start-time order, which is topological:
     # a parent ends before its child starts.
     critical = critical_path_length(
@@ -249,12 +303,12 @@ def build_workload(
     for i in range(spec.num_jobs):
         num_tasks = class_sizes[i % 3]
         job_id = f"J{i:04d}"
-        records = trace_gen.job_records(job_id, num_tasks, job_start=0.0)
         weight = 1.0 if i % 2 == 0 else 0.0
         jobs.append(
-            job_from_records(
+            job_from_columns(
                 job_id,
-                records,
+                range(num_tasks),
+                trace_gen.job_columns(job_id, num_tasks, job_start=0.0),
                 arrival_time=arrival,
                 deadline_slack=spec.deadline_slack,
                 reference_rate_mips=spec.reference_rate_mips,

@@ -66,3 +66,21 @@ def make_signals(running: list[dict], waiting: list[dict]) -> NodeSignals:
         weight=column("weight"),
         deadline=column("deadline"),
     )
+
+
+def write_task_events(path, jobs: int = 12) -> None:
+    """A job-contiguous ``task_events`` CSV of *jobs* jobs, 2-9 tasks
+    each, from integer arithmetic alone.  Some jobs list a task before an
+    earlier-starting one, so their index order is not their start order."""
+    rows = []
+    for j in range(jobs):
+        base = j * 45_000_000
+        for i in range(2 + (j * 5) % 8):
+            slot = i if j % 3 else (i + 2) % (2 + (j * 5) % 8)
+            start = base + slot * 7_000_000 + (i * 1_300_000) % 4_000_000
+            end = start + 5_000_000 + ((i * 13 + j * 7) % 30) * 1_000_000
+            cpu = 0.05 + ((i * 7 + j) % 10) * 0.02
+            mem = 0.04 + ((i * 3 + j * 11) % 10) * 0.015
+            rows.append(f"{start},,job{j},{i},,1,,,,{cpu!r},{mem!r}")
+            rows.append(f"{end},,job{j},{i},,4,,,,,")
+    path.write_text("\n".join(rows) + "\n")

@@ -689,6 +689,41 @@ class TestRetirement:
         assert core._ids.free_count == cap_a
 
 
+    def test_registration_writes_what_a_sync_would(self):
+        """Registration writes only the columns where a fresh runtime
+        differs from a free row; into recycled rows and grown ones alike,
+        a full resync afterwards changes nothing."""
+        cluster = _lane()
+        engine = SimEngine(
+            cluster, [], HeuristicScheduler(cluster), sim_config=_sim_cfg(),
+            streaming=True,
+        )
+        core = engine.runtime.array
+        engine.submit_job(_chain_job("A", 3))
+        while engine.pump(200):
+            pass
+        assert core._ids.free_count == 3
+        now = engine.runtime.now
+        engine.submit_job(_chain_job("B", 3, arrival=now))  # recycled rows
+        engine.submit_job(_chain_job("C", 20, arrival=now))  # grows the core
+        _assert_mirror_fresh(core, engine.runtime.state)
+        names = [
+            name for name, value in vars(core).items()
+            if isinstance(value, np.ndarray) and len(value) == core._cap
+        ]
+        before = {name: getattr(core, name).copy() for name in names}
+        entries, stalled = list(core._entry), set(core._stalled)
+        core.resync()
+        for name in names:
+            assert np.array_equal(
+                getattr(core, name), before[name], equal_nan=True
+            ), name
+        assert core._entry == entries and core._stalled == stalled
+        for tid, row in core._row_of.items():
+            kids = engine.runtime.state.children[tid]
+            assert core._live_deps[row] == len(kids)
+
+
 # ------------------------------------------------- dispatch-index oracle
 def _masked_candidates(
     core: ArrayCore, node, now: float, dependency_aware: bool

@@ -210,6 +210,36 @@ class TestSRPT:
         )
         assert len(p.claim(s)) == 2
 
+    def test_column_claim_matches_claim_loop(self):
+        """The claim over one priority column decides exactly as the
+        generic claim loop over SRPT's own keys and gate, ties included
+        (few distinct values, so priorities often tie and ids decide)."""
+        import random
+
+        from repro.sim.policy import ClaimPolicy
+
+        rng = random.Random(3)
+        p = SRPTPreemption()
+
+        def signals(prefix, count, **extra):
+            return [
+                task_signals(
+                    f"{prefix}{rng.randrange(100)}.{i}",
+                    remaining=rng.choice([0.0, 1e-9, 0.5, 2.0, 40.0]),
+                    waiting=rng.choice([0.0, 1.0, 3.0]),
+                    **extra,
+                )
+                for i in range(count)
+            ]
+
+        for _ in range(300):
+            running = [
+                {**t, "preemptable": rng.random() < 0.8}
+                for t in signals("r", rng.randrange(7))
+            ]
+            s = make_signals(running, signals("w", rng.randrange(9)))
+            assert p.claim(s) == ClaimPolicy.claim(p, s)
+
     def test_ignores_runnability(self):
         # Dependency-blind: promotes a queued task whose parent is still
         # running elsewhere, over a long runner on its node.

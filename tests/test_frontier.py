@@ -10,6 +10,8 @@ the journal suffix byte-identically and finish with identical metrics.
 
 from __future__ import annotations
 
+import collections
+import dataclasses
 import json
 import pathlib
 import sys
@@ -222,16 +224,27 @@ class TestRetirementManager:
 # ================================================================== sources
 class TestSyntheticSource:
     def test_bit_identical_to_batch_builder(self):
-        spec = _spec(8)
-        batch = build_workload(spec, rng=11).jobs
-        source = SyntheticSource(spec, seed=11)
-        streamed = []
-        while not source.exhausted:
-            streamed.append(source.next_job())
-        assert source.next_job() is None
-        assert len(streamed) == len(batch)
-        for a, b in zip(streamed, batch):
-            assert job_to_dict(a) == job_to_dict(b)
+        for scale, pattern in [
+            (60.0, "poisson"), (20.0, "poisson"), (100.0, "poisson"),
+            (20.0, "diurnal"), (100.0, "diurnal"),
+        ]:
+            spec = dataclasses.replace(
+                _spec(8, scale=scale), arrival_pattern=pattern
+            )
+            batch = build_workload(spec, rng=11).jobs
+            source = SyntheticSource(spec, seed=11)
+            streamed = []
+            while not source.exhausted:
+                streamed.append(source.next_job())
+            assert source.next_job() is None
+            assert len(streamed) == len(batch)
+            for a, b in zip(streamed, batch):
+                assert job_to_dict(a) == job_to_dict(b)
+                assert a.deadline.hex() == b.deadline.hex()
+                assert a.arrival_time.hex() == b.arrival_time.hex()
+                # The structures cached at construction, not only tasks.
+                assert a.topo_order == b.topo_order
+                assert a.children == b.children
 
     def test_cursor_resume_is_exact(self):
         spec = _spec(8)
@@ -430,6 +443,42 @@ class TestStreamingFrontier:
         metrics = frontier.run()
         assert metrics.jobs_completed == 3
         assert metrics.as_dict()["jobs_retired"] == 3.0
+
+    def test_draws_ahead_one_per_settle_point(self):
+        """Jobs are drawn between events, at most one per settle point and
+        at most ``admit_batch`` ahead of admission; admit() draws from the
+        source itself only while the lookahead is empty."""
+        cluster = _cluster(2)
+        engine = _streaming_engine(cluster)
+        source = SyntheticSource(_spec(30, cluster, scale=80.0), seed=4)
+        cfg = FrontierConfig(max_live_tasks=40, admit_batch=4, pump_pops=64)
+        frontier = StreamingFrontier(engine, source, cfg)
+        kernel = engine.runtime.kernel
+        admitting = [False]
+        draws = []  # (inside admit, jobs waiting drawn, kernel pops)
+
+        def next_job(draw=source.next_job):
+            draws.append((admitting[0], len(frontier._lookahead), kernel.pops))
+            return draw()
+
+        def admit(admit=frontier.admit):
+            admitting[0] = True
+            try:
+                return admit()
+            finally:
+                admitting[0] = False
+
+        source.next_job = next_job
+        frontier.admit = admit
+        assert frontier.describe().count("lookahead") == 0
+        metrics = frontier.run()
+        assert metrics.jobs_completed == 30
+        ahead = [(waiting, pops) for inside, waiting, pops in draws if not inside]
+        in_admit = [waiting for inside, waiting, _ in draws if inside]
+        assert in_admit and all(waiting == 0 for waiting in in_admit)
+        assert max(collections.Counter(p for _, p in ahead).values()) == 1
+        assert all(waiting < cfg.admit_batch for waiting, _ in ahead)
+        assert len(ahead) > len(in_admit)  # most jobs are drawn ahead
 
     def test_stuck_replay_reports_frontier_position(self):
         from repro.sim import SimulationStuck
@@ -731,6 +780,132 @@ class TestMidStreamResume:
         assert journal.read_bytes() == ref_journal
         assert metrics.as_dict() == ref_metrics.as_dict()
         assert resumed.admitted == 8
+
+    def _kill_with_jobs_waiting(self, tmp_path, cluster, make_source, fcfg):
+        """Replay once to learn where snapshots catch drawn, unadmitted
+        jobs, then kill a second replay one pop after such a snapshot.
+        Returns the reference journal and metrics, the crashed run's
+        journal path and the snapshot it left."""
+        from repro.sim import SimulatedCrash, inject_crash
+
+        every = 40
+        ref = tmp_path / "ref.journal"
+        engine = _streaming_engine(
+            cluster, journal=str(ref),
+            snapshots=SnapshotConfig(
+                directory=str(tmp_path / "ref_snaps"), every_events=every
+            ),
+        )
+        frontier = StreamingFrontier(engine, make_source(), fcfg)
+        waiting = {}
+        provider = engine.frontier_provider
+
+        def spy():
+            waiting[engine.runtime.kernel.pops] = len(frontier._lookahead)
+            return provider()
+
+        engine.frontier_provider = spy
+        ref_metrics = frontier.run()
+        engine.journal.close()
+        at = next(p for p in sorted(waiting) if p > 2 * every and waiting[p])
+
+        journal = tmp_path / "crash.journal"
+        engine = _streaming_engine(
+            cluster, journal=str(journal),
+            snapshots=SnapshotConfig(
+                directory=str(tmp_path / "snaps"), every_events=every
+            ),
+        )
+        source = make_source()
+        inject_crash(engine, at_pop=at + 1)
+        with pytest.raises(SimulatedCrash):
+            StreamingFrontier(engine, source, fcfg).run()
+        getattr(source, "close", lambda: None)()
+        path, data = latest_valid_snapshot(tmp_path / "snaps")
+        assert path.name == f"snapshot-{at:08d}.json"
+        # No job bodies: only the cursor before the oldest waiting job,
+        # which is just after the last admitted one.
+        assert data["frontier"]["staged"] is None
+        assert data["frontier"]["source"]["drawn"] == data["frontier"]["admitted"]
+        return ref.read_bytes(), ref_metrics, journal, data
+
+    def _resume(self, tmp_path, cluster, journal, data, source, fcfg, section):
+        recovered = SimEngine.restore(
+            data, cluster, [], HeuristicScheduler(cluster),
+            sim_config=_sim_cfg(retire_completed=True), streaming=True,
+            journal=str(journal),
+            snapshots=SnapshotConfig(
+                directory=str(tmp_path / "snaps"), every_events=40
+            ),
+        )
+        resumed = StreamingFrontier(recovered, source, fcfg)
+        resumed.restore_state(section)
+        return resumed
+
+    @pytest.mark.parametrize("kind", ["synthetic", "trace"])
+    def test_resume_with_jobs_drawn_ahead(self, tmp_path, kind):
+        """Killed while the lookahead holds drawn jobs, the replay resumes
+        from the cursor before the oldest of them, draws them again and
+        rewrites the journal byte for byte."""
+        from tests.helpers import write_task_events
+
+        cluster = _cluster(2)
+        if kind == "synthetic":
+            spec = _spec(14, cluster, scale=80.0)
+            fcfg = FrontierConfig(max_live_tasks=40, admit_batch=3, pump_pops=64)
+
+            def make_source():
+                return SyntheticSource(spec, seed=9)
+        else:
+            events = tmp_path / "task_events.csv"
+            write_task_events(events, jobs=24)
+            fcfg = FrontierConfig(max_live_tasks=12, admit_batch=3, pump_pops=64)
+
+            def make_source():
+                return TraceSource(events)
+
+        ref_journal, ref_metrics, journal, data = self._kill_with_jobs_waiting(
+            tmp_path, cluster, make_source, fcfg
+        )
+        assert data["frontier"]["source"]["kind"] == kind
+        resumed = self._resume(
+            tmp_path, cluster, journal, data, make_source(), fcfg,
+            data["frontier"],
+        )
+        metrics = resumed.run()
+        resumed._engine.journal.close()
+        assert journal.read_bytes() == ref_journal
+        assert metrics.as_dict() == ref_metrics.as_dict()
+
+    def test_older_snapshot_with_staged_job_restores(self, tmp_path):
+        """The older frontier section — the oldest unadmitted job's body
+        under ``staged`` and the cursor after it — still restores and
+        replays byte for byte; until that job is admitted, new snapshots
+        carry it the same way."""
+        cluster = _cluster(2)
+        spec = _spec(14, cluster, scale=80.0)
+        fcfg = FrontierConfig(max_live_tasks=40, admit_batch=3, pump_pops=64)
+        ref_journal, ref_metrics, journal, data = self._kill_with_jobs_waiting(
+            tmp_path, cluster, lambda: SyntheticSource(spec, seed=9), fcfg
+        )
+        section = dict(data["frontier"])
+        source = SyntheticSource(spec, seed=9)
+        source.restore(section["source"])
+        staged = source.next_job()
+        section.update(staged=job_to_dict(staged), source=source.cursor())
+        section = json.loads(json.dumps(section))
+
+        resumed = self._resume(
+            tmp_path, cluster, journal, data, SyntheticSource(spec, seed=9),
+            fcfg, section,
+        )
+        again = json.loads(json.dumps(resumed.snapshot_state()))
+        assert again["staged"] == section["staged"]
+        assert again["source"] == section["source"]
+        metrics = resumed.run()
+        resumed._engine.journal.close()
+        assert journal.read_bytes() == ref_journal
+        assert metrics.as_dict() == ref_metrics.as_dict()
 
     def test_resume_retires_resurrected_rows(self):
         """A snapshot taken with completed-but-unswept jobs (``retire_batch``

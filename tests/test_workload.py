@@ -78,6 +78,36 @@ class TestJobFromRecords:
             job = job_from_records(f"J{n}", records, 7.0, 4.0, 1000.0)
             assert job.deadline == 7.0 + 4.0 * job.critical_path_time(1000.0)
 
+    def test_columns_build_the_records_job(self):
+        """``job_columns`` draws what ``job_records`` draws, and
+        ``job_from_columns`` builds the job ``job_from_records`` builds
+        from them, bit for bit, also for records in shuffled order."""
+        import random
+
+        from repro.dag.codec import job_to_dict
+        from repro.trace import job_from_columns
+
+        for n in (2, 15, 100):
+            records = GoogleTraceGenerator(rng=n).job_records(f"J{n}", n)
+            columns = GoogleTraceGenerator(rng=n).job_columns(f"J{n}", n)
+            assert [list(c) for c in zip(*columns)] == [
+                [r.start_time, r.end_time, r.cpu, r.mem] for r in records
+            ]
+            want = job_from_columns(f"J{n}", range(n), columns, 5.0, 4.0, 1000.0)
+            shuffled = list(records)
+            random.Random(n).shuffle(shuffled)
+            for recs in (records, shuffled):
+                got = job_from_records(f"J{n}", recs, 5.0, 4.0, 1000.0)
+                assert job_to_dict(got) == job_to_dict(want)
+                assert got.deadline.hex() == want.deadline.hex()
+                assert got.topo_order == want.topo_order
+
+    def test_mixed_jobs_rejected(self):
+        gen = GoogleTraceGenerator(rng=1)
+        records = gen.job_records("A", 3) + gen.job_records("B", 3)
+        with pytest.raises(ValueError, match="one job"):
+            job_from_records("A", records, 0.0, 4.0, 1000.0)
+
     def test_structural_caps(self):
         records = GoogleTraceGenerator(rng=5).job_records("J", 80)
         job = job_from_records("J", records, 0.0, 4.0, 1000.0)
