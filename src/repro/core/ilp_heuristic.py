@@ -25,7 +25,7 @@ scheduler produced it.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..cluster.cluster import Cluster
 from ..config import DSPConfig
@@ -60,7 +60,6 @@ class HeuristicScheduler(LanePlanner):
     ):
         super().__init__(cluster, config)
         self.locality_aware = locality_aware
-        self._bandwidth = {n.node_id: n.bandwidth_capacity for n in cluster}
 
     def upward_rank(self, jobs: Sequence[Job]) -> dict[str, float]:
         """Dependency-aware list rank: estimated execution time plus the
@@ -71,21 +70,25 @@ class HeuristicScheduler(LanePlanner):
         T6 first enables more dependent tasks to start" as a scalar.
         """
         rank: dict[str, float] = {}
+        mean_rate = self._mean_rate
         for job in jobs:
             children = job.children
+            tasks = job.tasks
             for tid in reversed(job.topo_order):
-                est = job.tasks[tid].size_mi / self._mean_rate
-                rank[tid] = est + max((rank[c] for c in children[tid]), default=0.0)
+                longest = 0.0
+                for child in children[tid]:
+                    if rank[child] > longest:
+                        longest = rank[child]
+                rank[tid] = tasks[tid].size_mi / mean_rate + longest
         return rank
 
     def order_keys(self, jobs: Sequence[Job]) -> dict[str, float]:
         """Highest upward rank first (ties on task id)."""
         return {tid: -r for tid, r in self.upward_rank(jobs).items()}
 
-    def duration_of(self, task: Task) -> Callable[[str], float]:
-        """Execution time, plus the input transfer of an off-location node
-        when locality-aware."""
-        if self.locality_aware and task.input_mb > 0:
-            rates, bandwidth = self._rates, self._bandwidth
-            return lambda n: task.size_mi / rates[n] + task.transfer_time(n, bandwidth[n])
-        return super().duration_of(task)
+    def located_input(self, task: Task) -> tuple[str, float] | None:
+        """When locality-aware, a located input's node and size: placement
+        adds the input transfer on every other node."""
+        if self.locality_aware and task.input_mb > 0 and task.input_location is not None:
+            return task.input_location, task.input_mb
+        return None

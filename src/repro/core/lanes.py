@@ -28,7 +28,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..cluster.cluster import Cluster
 from ..config import DSPConfig
@@ -72,6 +72,14 @@ class LaneTimelines:
     the k-th lane to free up is ``lanes[k - 1]`` and occupying k lanes is a
     slice delete plus one sorted insert.
 
+    Placement works on node *classes*: nodes of one shape (capacity
+    dimensions and lane count, so one lane count per demand) and one
+    Eq. 1 rate.  The shape includes the bandwidth capacity, so a class
+    also shares a located input's transfer time.  A task's duration is
+    therefore the same on every node of a class, except on the node that
+    holds its input; within a class the node that can start soonest
+    also finishes soonest.
+
     Parameters
     ----------
     cluster:
@@ -91,23 +99,35 @@ class LaneTimelines:
         }
         self._fixed = dict(lanes) if lanes is not None else None
         self._free: dict[str, list[float]] | None = None
+        self._classes: list[tuple] | None = None
         if self._fixed is not None:
             self._init_free({nid: [0.0] * count for nid, count in self._fixed.items()})
 
     def _init_free(self, free: dict[str, list[float]]) -> None:
         self.lanes = {nid: len(times) for nid, times in free.items()}
         self._free = free
-        # Placement walks the nodes in cluster order.  A task's lane count
-        # depends only on the node's capacity dimensions and lane total,
-        # so nodes of one shape share it: placement computes it once per
-        # shape, and each row is (node id, shape index, lane list).
+        self._classes = None  # regrouped by the next ensure_sized
+
+    def _group(self, rates: dict[str, float]) -> None:
+        """Group the nodes into classes under *rates* (node id -> Eq. 1
+        rate).  A class is (shape index, rate, bandwidth, rows), its rows
+        (node id, lane list) in node-id order; ``_home`` maps a node id
+        to (shape index, rate, lane list), for a located input's node."""
         shapes: dict[tuple, int] = {}
-        self._rows = []
-        for node in self._cluster:
+        classes: dict[tuple, tuple] = {}
+        self._home = {}
+        for node in sorted(self._cluster, key=lambda n: n.node_id):
             nid = node.node_id
-            shape = (self._dims[nid], len(free[nid]))
-            self._rows.append((nid, shapes.setdefault(shape, len(shapes)), free[nid]))
+            lanes = self._free[nid]
+            shape = shapes.setdefault((self._dims[nid], len(lanes)), len(shapes))
+            rate = rates[nid]
+            cls = classes.setdefault(
+                (shape, rate), (shape, rate, node.bandwidth_capacity, [])
+            )
+            cls[3].append((nid, lanes))
+            self._home[nid] = (shape, rate, lanes)
         self._shapes = list(shapes)
+        self._classes = list(classes.values())
 
     def reset(self) -> None:
         """Drop all planned occupancy (and lazy sizing, when applicable)."""
@@ -142,78 +162,92 @@ class LaneTimelines:
             self._init_free({nid: sorted(vals) for nid, vals in data["free"].items()})
             self.lanes = dict(data["lanes"])
 
-    def ensure_sized(self, jobs: Sequence[Job]) -> None:
-        """Size the lanes from *jobs* if not already sized."""
+    def ensure_sized(self, jobs: Sequence[Job], rates: dict[str, float]) -> None:
+        """Size the lanes from *jobs* if not already sized, and group the
+        nodes into classes under *rates* (node id -> Eq. 1 rate) if not
+        already grouped."""
         if self._free is None:
             lanes = demand_sized_lanes(self._cluster, jobs)
             self._init_free({nid: [0.0] * count for nid, count in lanes.items()})
+        if self._classes is None:
+            self._group(rates)
 
     def lanes_needed(self, node_id: str, demand: tuple[float, float, float, float]) -> int:
         """Lanes a task of *demand* occupies on *node_id* (dominant share)."""
         assert self._free is not None, "call ensure_sized() first"
         return _lanes_needed(demand, self._dims[node_id], len(self._free[node_id]))
 
-    def earliest_start(self, node_id: str, k: int, ready: float) -> float:
-        """Earliest time *k* lanes of *node_id* are simultaneously free, at
-        or after *ready*."""
-        assert self._free is not None, "call ensure_sized() first"
-        lanes = self._free[node_id]
-        return max(lanes[min(k, len(lanes)) - 1], ready)
-
-    def commit(self, node_id: str, k: int, end: float) -> None:
-        """Occupy *k* lanes of *node_id* until *end*."""
-        assert self._free is not None, "call ensure_sized() first"
-        _occupy(self._free[node_id], k, end)
-
     def place_eft(
         self,
         demand: tuple[float, float, float, float],
         ready: float,
-        exec_time_of,
+        size_mi: float,
+        located: tuple[str, float] | None = None,
     ) -> tuple[str, float, float]:
         """Earliest-finish-time placement over all nodes.
 
-        ``exec_time_of(node_id) -> seconds``.  Returns (node_id, start,
-        end) and commits the occupancy; ties on finish go to the earlier
-        start, then the smaller node id.
+        The task runs ``size_mi / rate`` seconds on a node, plus
+        ``input_mb / bandwidth`` off its input's node when *located* is
+        ``(input node id, input_mb)``.  Returns (node_id, start, end) and
+        commits the occupancy; ties on finish go to the earlier start,
+        then the smaller node id.
         """
-        assert self._free is not None, "call ensure_sized() first"
-        needed = [_lanes_needed(demand, dims, total) for dims, total in self._shapes]
-        best = None
-        for nid, shape, lanes in self._rows:
-            k = needed[shape]
-            start = lanes[k - 1]
-            if ready > start:
-                start = ready
-            end = start + exec_time_of(nid)
-            if best is None or (end, start, nid) < best[:3]:
-                best = (end, start, nid, k, lanes)
-        assert best is not None
-        end, start, nid, k, lanes = best
-        _occupy(lanes, k, end)
-        return nid, start, end
+        return self._place(demand, ready, size_mi, located, True)
 
     def place_earliest_start(
         self,
         demand: tuple[float, float, float, float],
         ready: float,
-        exec_time_of,
+        size_mi: float,
+        located: tuple[str, float] | None = None,
     ) -> tuple[str, float, float]:
         """Least-loaded placement: the node that can *start* soonest (ties
-        by id).  Returns (node_id, start, end) and commits the occupancy."""
-        assert self._free is not None, "call ensure_sized() first"
+        by id), with durations as in :meth:`place_eft`.  Returns
+        (node_id, start, end) and commits the occupancy."""
+        return self._place(demand, ready, size_mi, located, False)
+
+    def _place(self, demand, ready, size_mi, located, eft):
+        assert self._classes is not None, "call ensure_sized() first"
         needed = [_lanes_needed(demand, dims, total) for dims, total in self._shapes]
+        home, input_mb = located if located is not None else (None, 0.0)
         best = None
-        for nid, shape, lanes in self._rows:
+        for shape, rate, bandwidth, rows in self._classes:
+            # The class's soonest start, ties by node id: the scan stops
+            # at the first node free by *ready*, as none starts sooner.
+            k = needed[shape]
+            start, pick = math.inf, rows[0]
+            for row in rows:
+                free_at = row[1][k - 1]
+                if free_at < start:
+                    start, pick = free_at, row
+                    if free_at <= ready:
+                        break
+            if ready > start:
+                start = ready
+            nid, lanes = pick
+            duration = size_mi / rate
+            if input_mb:
+                # The input's own node is offered again below at its
+                # local duration, never longer than this one.
+                duration += input_mb / bandwidth
+            if eft:
+                end = start + duration
+                if best is None or (end, start, nid) < best[:3]:
+                    best = (end, start, nid, k, lanes)
+            elif best is None or (start, nid) < best[1:3]:
+                best = (start + duration, start, nid, k, lanes)
+        if home in self._home:
+            # The input's node at its local duration: an EFT candidate of
+            # its own; for earliest start, only the end moves.
+            shape, rate, lanes = self._home[home]
             k = needed[shape]
             start = lanes[k - 1]
             if ready > start:
                 start = ready
-            if best is None or (start, nid) < best[:2]:
-                best = (start, nid, k, lanes)
-        assert best is not None
-        start, nid, k, lanes = best
-        end = start + exec_time_of(nid)
+            end = start + size_mi / rate
+            if (end, start, home) < best[:3] if eft else best[2] == home:
+                best = (end, start, home, k, lanes)
+        end, start, nid, k, lanes = best
         _occupy(lanes, k, end)
         return nid, start, end
 
@@ -246,7 +280,7 @@ class LanePlanner:
     its parents' latest planned finish, and is placed on the timelines —
     earliest-finish-time when :attr:`eft` is set, else on the node that
     can start it soonest.  Subclasses supply :meth:`order_keys` and may
-    override :meth:`duration_of`.
+    override :meth:`located_input`.
 
     Parameters
     ----------
@@ -291,11 +325,11 @@ class LanePlanner:
         ties break on the task id)."""
         raise NotImplementedError
 
-    def duration_of(self, task: Task) -> Callable[[str], float]:
-        """``node_id -> seconds`` for *task*: Eq. 2's ``l / g(k)``."""
-        size = task.size_mi
-        rates = self._rates
-        return lambda nid: size / rates[nid]
+    def located_input(self, task: Task) -> tuple[str, float] | None:
+        """(input node id, input_mb) when placement prices *task*'s input
+        transfer off that node, else ``None``: durations are then Eq. 2's
+        ``l / g(k)`` alone."""
+        return None
 
     def schedule(self, jobs: Sequence[Job]) -> Schedule:
         """Plan one batch onto the persistent timelines.
@@ -314,8 +348,9 @@ class LanePlanner:
             return Schedule({})
 
         timelines = self._timelines
-        timelines.ensure_sized(jobs)
+        timelines.ensure_sized(jobs, self._rates)
         place = timelines.place_eft if self.eft else timelines.place_earliest_start
+        located_input = self.located_input
         key = self.order_keys(jobs)
         children = batch_children(jobs)
         unplaced = {tid: len(task.parents) for tid, task in tasks.items()}
@@ -324,18 +359,21 @@ class LanePlanner:
 
         finish: dict[str, float] = {}
         assignments: dict[str, TaskAssignment] = {}
+        heappop, heappush = heapq.heappop, heapq.heappush
         while heap:
-            _, tid = heapq.heappop(heap)
+            _, tid = heappop(heap)
             task = tasks[tid]
             ready = release[tid]
             for p in task.parents:
                 if finish[p] > ready:
                     ready = finish[p]
-            nid, start, end = place(task.demand.as_tuple(), ready, self.duration_of(task))
+            nid, start, end = place(
+                task.demand.as_tuple(), ready, task.size_mi, located_input(task)
+            )
             finish[tid] = end
-            assignments[tid] = TaskAssignment(task_id=tid, node_id=nid, start=start, finish=end)
+            assignments[tid] = TaskAssignment(tid, nid, start, end)
             for child in children[tid]:
                 unplaced[child] -= 1
                 if unplaced[child] == 0:
-                    heapq.heappush(heap, (key[child], child))
+                    heappush(heap, (key[child], child))
         return Schedule(assignments)

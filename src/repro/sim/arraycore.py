@@ -55,8 +55,8 @@ a missed event can (and the after-every-event oracle in
 that).  World-shifting events (faults, backlog re-homing, membership)
 trigger a full resync — they are rare and may move state without
 per-task events.  A scheduling round mutates only the tasks of the
-batch it planned, so the dispatcher syncs just those rows
-(:meth:`ArrayCore.sync_tasks`) before announcing the round.
+batch it planned, so the dispatcher files just those rows in one pass
+(:meth:`ArrayCore.file_round`) before announcing the round.
 ``TaskFinished`` additionally mirrors the two *post-emit* mutations the
 completion path performs (decrementing children's unfinished-parent
 counts and the parents' live-dependent counts), because consumers may
@@ -116,7 +116,7 @@ from .state import SimRuntime
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..config import DSPConfig
-    from .executor import NodeRuntime
+    from .executor import NodeRuntime, TaskRuntime
 
 __all__ = ["ArrayCore", "DenseIds"]
 
@@ -170,8 +170,8 @@ _TASK_EVENTS = (
 #: events: it only fires after ``retime_node`` changed the *node's*
 #: rate, which moves the scores of every task assigned to that node —
 #: queued ones included.  ``RoundTick`` is not here: a round touches only
-#: its batch, whose rows the dispatcher syncs before emitting it
-#: (:meth:`ArrayCore.sync_tasks`).
+#: its batch, whose rows the dispatcher files before emitting it
+#: (:meth:`ArrayCore.file_round`).
 _WORLD_EVENTS = (
     k.FaultInjected,
     k.NodeFailed,
@@ -535,12 +535,39 @@ class ArrayCore:
             return  # retired with its job (e.g. a late speculation event)
         self._sync_row(row, self._rt.state.tasks[task_id])
 
-    def sync_tasks(self, task_ids: Iterable[str]) -> None:
-        """Re-read *task_ids* into their rows: the targeted sync of a
-        scheduling round, which mutates only the tasks of the batch it
-        planned."""
-        for tid in task_ids:
-            self._sync_task(tid)
+    def file_round(self, tasks: list["TaskRuntime"]) -> None:
+        """Mirror a scheduling round, which mutates only the tasks of the
+        batch it planned: *tasks*, each just queued on its node.
+
+        Until the round a batch task is PENDING, so its row is unfiled
+        and matches its runtime everywhere but the four columns queuing
+        writes (state, node, planned start, queued-since).  Each of those
+        takes one fancy assignment, and each node's dispatch lists one
+        sort and one version bump."""
+        row_of, node_pos, entries = self._row_of, self._node_pos, self._entry
+        rows = [row_of[t.task.task_id] for t in tasks]
+        nodes = [node_pos[t.node_id] for t in tasks]
+        idx = np.array(rows, dtype=np.intp)
+        self._state[idx] = _QUEUED
+        self._node[idx] = nodes
+        self._planned[idx] = [t.planned_start for t in tasks]
+        self._queued_since[idx] = [t.queued_since for t in tasks]
+        filed: set[int] = set()
+        for row, pos, t in zip(rows, nodes, tasks):
+            key = (t.planned_start, t.task.task_id)
+            if not t.unfinished_parents:
+                self._ready[pos].append(key)
+                entries[row] = (pos, False, key)
+            elif not t.stall_banned:
+                self._held[pos].append(key)
+                entries[row] = (pos, True, key)
+            else:
+                continue
+            filed.add(pos)
+        for pos in filed:
+            self._ready[pos].sort()
+            self._held[pos].sort()
+            self._bump(pos)
         self._version += 1
         self.invalidations += 1
 

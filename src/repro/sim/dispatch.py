@@ -63,57 +63,55 @@ class DispatchSubsystem:
         state.unscheduled.clear()
         if batch:
             plan = rt.scheduler.schedule(batch)
+            now = rt.now
+            nodes = state.nodes
+            batch_ids = {job.job_id for job in batch}
+            queued: list[TaskRuntime] = []
+            entries: dict[str, list[tuple[float, str]]] = {}  # new queue entries
+            planned = 0  # batch tasks the plan covers
             for tid, assignment in plan.assignments.items():
                 task = state.tasks[tid]
                 if task.node_id is not None:
                     raise SimulationError(
                         f"task {tid} scheduled twice ({rt.kernel.position()})"
                     )
-                node = state.nodes.get(assignment.node_id)
-                if node is None:
+                nid = assignment.node_id
+                if nid not in nodes:
                     if rt.elastic is None:
                         # Fixed cluster: a plan naming an unknown node is
                         # a scheduler bug — fail loudly (KeyError), as
                         # the pre-elastic engine always did.
-                        node = state.nodes[assignment.node_id]
+                        raise KeyError(nid)
                     # The offline planner only knows the construction-time
                     # cluster; its target was decommissioned since.
-                    # Re-home to the least-loaded member (same tie-break
-                    # as backlog reassignment).
-                    node = min(
-                        (
-                            n
-                            for n in state.nodes.values()
-                            if n.available and n.membership == "alive"
-                        ),
-                        key=lambda n: (n.queue_length, n.node_id),
-                        default=min(
-                            state.nodes.values(), key=lambda n: n.node_id
-                        ),
-                    )
-                task.node_id = node.node_id
-                task.planned_start = float(assignment.start)
+                    nid = self._rehome(entries)
+                task.node_id = nid
+                start = task.planned_start = float(assignment.start)
                 task.state = TaskState.QUEUED
-                task.queued_since = rt.now
-                task.first_enqueued_at = rt.now
-                node.enqueue(tid, task.planned_start)
-            missing = [
-                tid
-                for j in batch
-                for tid in j.tasks
-                if state.tasks[tid].node_id is None
-            ]
-            if missing:
+                task.queued_since = now
+                task.first_enqueued_at = now
+                entries.setdefault(nid, []).append((start, tid))
+                queued.append(task)
+                if task.task.job_id in batch_ids:
+                    planned += 1
+            tasks_in_batch = sum(len(j.tasks) for j in batch)
+            if planned != tasks_in_batch:
+                missing = [
+                    tid
+                    for j in batch
+                    for tid in j.tasks
+                    if state.tasks[tid].node_id is None
+                ]
                 raise SimulationError(
                     f"scheduler left tasks unassigned: {sorted(missing)[:3]} "
                     f"({rt.kernel.position()})"
                 )
-            # The round mutated only the batch's tasks: sync just their
+            for nid, new in entries.items():
+                nodes[nid].enqueue_all(new)
+            # The round mutated only the batch's tasks: file just their
             # mirror rows (not the whole mirror) before announcing it.
-            rt.array.sync_tasks(plan.assignments)
-            rt.bus.emit(
-                RoundTick(rt.now, len(batch), sum(len(j.tasks) for j in batch))
-            )
+            rt.array.file_round(queued)
+            rt.bus.emit(RoundTick(now, len(batch), tasks_in_batch))
             for node in state.nodes.values():
                 self.dispatch(node)
             rt.preemption.ensure_tick()
@@ -124,6 +122,17 @@ class DispatchSubsystem:
                 EventKind.SCHEDULING_ROUND,
                 None,
             )
+
+    def _rehome(self, entries: dict[str, list]) -> str:
+        """The least-loaded member (same tie-break as backlog
+        reassignment), counting the round's *entries* not yet queued."""
+        nodes = self._rt.state.nodes.values()
+        node = min(
+            (n for n in nodes if n.available and n.membership == "alive"),
+            key=lambda n: (n.queue_length + len(entries.get(n.node_id, ())), n.node_id),
+            default=min(nodes, key=lambda n: n.node_id),
+        )
+        return node.node_id
 
     # ------------------------------------------------------------- dispatch
     def request_wake(self, node_id: str) -> None:

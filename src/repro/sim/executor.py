@@ -151,6 +151,13 @@ class NodeRuntime:
         """Insert a task keeping the queue sorted by planned start."""
         bisect.insort(self._queue, (planned_start, task_id))
 
+    def enqueue_all(self, entries: list[tuple[float, str]]) -> None:
+        """Insert many ``(planned_start, task_id)`` entries in one sort
+        (a merge, when *entries* come sorted)."""
+        queue = self._queue
+        queue.extend(entries)
+        queue.sort()
+
     def dequeue(self, task_id: str, planned_start: float) -> None:
         """Remove a specific task; raises ValueError when absent."""
         idx = bisect.bisect_left(self._queue, (planned_start, task_id))

@@ -68,7 +68,8 @@ from repro.sim.arraycore import (
 )
 from repro.sim.executor import NodeRuntime
 from repro.sim.snapshot import SnapshotError
-from repro.sim.kernel import EpochTick, TaskStallEvicted
+from repro.sim import kernel as k
+from repro.sim.kernel import EpochTick, SimulationError, TaskStallEvicted
 from repro.sim.views import VIEW_QUEUE_LIMIT
 
 from test_sched_core import _chaos_inputs, _drive, _engine, _faulty_engine, _sim_cfg
@@ -873,3 +874,143 @@ class TestDispatchIndex:
         node._queue.pop()
         with pytest.raises(SnapshotError, match="dispatch index"):
             core.rebuild_and_assert()
+
+
+# ------------------------------------------------------------ round filing
+_COLUMNS = (
+    "_size", "_work", "_run_start", "_cur_recovery", "_recovery_due",
+    "_queued_since", "_total_wait", "_deadline", "_planned", "_stall_start",
+    "_state", "_node", "_unfinished", "_live_deps", "_preempt_count", "_banned",
+)
+
+
+def _mirror_image(core: ArrayCore) -> dict:
+    n = core._ids.capacity
+    return {
+        "columns": {name: getattr(core, name)[:n].copy() for name in _COLUMNS},
+        "ready": [list(lst) for lst in core._ready],
+        "held": [list(lst) for lst in core._held],
+        "entry": list(core._entry[:n]),
+        "versions": list(core._node_version),
+        "stalled": set(core._stalled),
+    }
+
+
+def _round_parity(engine: SimEngine) -> dict[str, int]:
+    """After every scheduling round's filing (at its ``RoundTick``), a full
+    ``resync()`` changes no column (NaN-aware), dispatch list, entry or
+    node version, and every node's queue is exactly its QUEUED tasks in
+    ``(planned_start, task_id)`` order.  Counts rounds and the planned
+    tasks whose target node had left the cluster (re-homed)."""
+    rt = engine.runtime
+    core = rt.array
+    seen = {"rounds": 0, "rehomed": 0}
+    plan = rt.scheduler.schedule
+
+    def schedule(jobs):
+        result = plan(jobs)
+        seen["rehomed"] += sum(
+            a.node_id not in rt.state.nodes for a in result.assignments.values()
+        )
+        return result
+
+    rt.scheduler.schedule = schedule
+
+    def check(_event) -> None:
+        seen["rounds"] += 1
+        before = _mirror_image(core)
+        core.resync()
+        after = _mirror_image(core)
+        for name, col in before["columns"].items():
+            assert np.array_equal(col, after["columns"][name], equal_nan=True), name
+        for part in ("ready", "held", "entry", "versions", "stalled"):
+            assert before[part] == after[part], part
+        queued: dict[str, list] = {nid: [] for nid in rt.state.nodes}
+        for tid, task in rt.state.tasks.items():
+            if task.state is TaskState.QUEUED:
+                queued[task.node_id].append((task.planned_start, tid))
+        for nid, node in rt.state.nodes.items():
+            assert node._queue == sorted(queued[nid]), nid
+
+    rt.bus.subscribe(k.RoundTick, check)
+    return seen
+
+
+class TestRoundFiling:
+    def test_streaming_dsp_replay(self):
+        from repro.config import FrontierConfig
+        from repro.core import DSPScheduler
+        from repro.experiments import cluster_profile, workload_spec_for_cluster
+        from repro.sim import StreamingFrontier, SyntheticSource
+
+        cfg = DSPConfig()
+        cluster = cluster_profile("cluster")
+        spec = workload_spec_for_cluster(12, cluster, config=cfg)
+        engine = SimEngine(
+            cluster, [], DSPScheduler(cluster, cfg, ilp_task_limit=0),
+            preemption=DSPPreemption(cfg), dsp_config=cfg,
+            sim_config=SimConfig(
+                epoch=60.0, scheduling_period=300.0, retire_completed=True
+            ),
+            streaming=True,
+        )
+        seen = _round_parity(engine)
+        frontier = StreamingFrontier(
+            engine, SyntheticSource(spec, seed=1), FrontierConfig(max_live_tasks=200)
+        )
+        metrics = frontier.run()
+        assert metrics.jobs_completed == 12
+        assert seen["rounds"] > 3, seen
+
+    def test_chaos_elastic_batch_rehomes(self):
+        """Jobs keep arriving while n1 is drained away and re-joins, under
+        node failures and task kills: some plans name the departed n1 and
+        are re-homed."""
+        from repro.sim import random_fault_plan
+
+        cluster = _one_lane(3)
+        jobs = [_chain_job(f"J{j}", 4, arrival=12.0 * j) for j in range(10)]
+        engine = SimEngine(
+            cluster, jobs, HeuristicScheduler(cluster),
+            sim_config=SimConfig(epoch=1.0, scheduling_period=10.0, horizon=5000.0),
+            faults=random_fault_plan(
+                cluster, horizon=150.0, rng=2, mtbf=60.0, mttr=10.0,
+                task_fail_rate=0.2,
+            ),
+            resilience=ResilienceConfig(max_attempts=12),
+            membership=[
+                _lane_event(5.0, "drain", "n1"),
+                _lane_event(80.0, "join", "n1"),
+            ],
+            elastic=ElasticConfig(drain_step=2.0),
+        )
+        seen = _round_parity(engine)
+        metrics = engine.run()
+        assert metrics.tasks_completed == 40
+        assert metrics.nodes_decommissioned >= 1
+        assert seen["rehomed"] > 0, seen
+
+    def test_dropped_task_named(self):
+        """A planner that drops one task of its batch fails the round with
+        that task's id."""
+        cluster = _lane(2)
+        planner = HeuristicScheduler(cluster)
+        dropped = []
+
+        class Dropping:
+            respects_dependencies = True
+
+            def schedule(self, jobs):
+                plan = planner.schedule(jobs)
+                tid = sorted(plan.assignments)[-1]
+                dropped.append(tid)
+                del plan.assignments[tid]
+                return plan
+
+        engine = SimEngine(
+            cluster, [_chain_job("J", 3)], Dropping(),
+            sim_config=SimConfig(epoch=1.0, scheduling_period=10.0),
+        )
+        with pytest.raises(SimulationError, match="unassigned") as err:
+            engine.run()
+        assert dropped[0] in str(err.value)

@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster import uniform_cluster
+from repro.cluster import Cluster, NodeSpec, uniform_cluster
 from repro.config import DSPConfig
 from repro.core import HeuristicScheduler, verify_schedule
 from repro.core.lanes import LaneTimelines, demand_sized_lanes
@@ -141,43 +141,67 @@ class TestLaneModel:
         assert tl.lanes_needed("node-00", (100.0, 0.1, 0.0, 0.0)) == 4
 
     def test_earliest_start_and_commit(self, cluster):
-        tl = LaneTimelines(cluster, {"node-00": 2, "node-01": 2})
-        assert tl.earliest_start("node-00", 1, 0.0) == 0.0
-        tl.commit("node-00", 2, 5.0)
-        assert tl.earliest_start("node-00", 1, 0.0) == 5.0
+        tl = _timelines(cluster, {"node-00": 2, "node-01": 2})
+        # A task on both lanes of node-00 (cpu 4 of 4) holds it until 5.0,
+        # so the next task starts at once on node-01.
+        assert tl.place_earliest_start((4.0, 1.0, 0, 0), 0.0, 5.0) == ("node-00", 0.0, 5.0)
+        assert tl.place_earliest_start((1.0, 1.0, 0, 0), 0.0, 1.0) == ("node-01", 0.0, 1.0)
+        assert tl.snapshot_state()["free"] == {"node-00": [5.0, 5.0], "node-01": [0.0, 1.0]}
 
     def test_place_eft_prefers_free_node(self, cluster):
-        tl = LaneTimelines(cluster, {"node-00": 1, "node-01": 1})
-        tl.commit("node-00", 1, 10.0)
-        nid, start, end = tl.place_eft((1.0, 1.0, 0, 0), 0.0, lambda n: 1.0)
+        tl = _timelines(cluster, {"node-00": 1, "node-01": 1})
+        assert tl.place_earliest_start((1.0, 1.0, 0, 0), 0.0, 10.0)[0] == "node-00"
+        nid, start, end = tl.place_eft((1.0, 1.0, 0, 0), 0.0, 1.0)
         assert nid == "node-01" and start == 0.0 and end == 1.0
 
     def test_place_earliest_start_ties_by_id(self, cluster):
-        tl = LaneTimelines(cluster, {"node-00": 1, "node-01": 1})
-        nid, start, _ = tl.place_earliest_start((1.0, 1.0, 0, 0), 0.0, lambda n: 1.0)
+        tl = _timelines(cluster, {"node-00": 1, "node-01": 1})
+        nid, start, _ = tl.place_earliest_start((1.0, 1.0, 0, 0), 0.0, 1.0)
         assert nid == "node-00" and start == 0.0
+
+
+def _timelines(cluster, lanes, free=None):
+    """Fixed-lane timelines at rate 1.0 on every node (durations are then
+    the sizes), optionally restored to per-node lane *free* times."""
+    tl = LaneTimelines(cluster, lanes)
+    if free is not None:
+        tl.restore_state({"fixed": dict(lanes), "lanes": dict(lanes), "free": free})
+    tl.ensure_sized([], {n.node_id: 1.0 for n in cluster})
+    return tl
 
 
 class TestLaneLists:
     def test_earliest_start_k_lanes(self, cluster):
-        tl = LaneTimelines(cluster, {"node-00": 3, "node-01": 3})
-        tl.commit("node-00", 1, 5.0)
-        tl.commit("node-00", 1, 2.0)  # free times now 0, 2, 5
-        assert tl.earliest_start("node-00", 1, 0.0) == 0.0
-        assert tl.earliest_start("node-00", 2, 0.0) == 2.0
-        assert tl.earliest_start("node-00", 3, 0.0) == 5.0
-        assert tl.earliest_start("node-00", 2, 3.0) == 3.0  # ready is later
+        # node-00 lanes free at 0, 2, 5; node-01 busy until 9.  On 3 lanes
+        # of 4 CPUs, cpu 1/2/4 takes 1/2/3 lanes.
+        free = {"node-00": [0.0, 2.0, 5.0], "node-01": [9.0, 9.0, 9.0]}
+        lanes = {"node-00": 3, "node-01": 3}
+
+        def start(cpu, ready):
+            tl = _timelines(cluster, lanes, {n: list(v) for n, v in free.items()})
+            nid, at, _ = tl.place_earliest_start((cpu, 0.1, 0.0, 0.0), ready, 1.0)
+            assert nid == "node-00"
+            return at
+
+        assert start(1.0, 0.0) == 0.0
+        assert start(2.0, 0.0) == 2.0
+        assert start(4.0, 0.0) == 5.0
+        assert start(2.0, 3.0) == 3.0  # ready is later
 
     def test_commit_onto_equal_end_times(self, cluster):
-        tl = LaneTimelines(cluster, {"node-00": 4, "node-01": 4})
-        tl.commit("node-00", 2, 5.0)
-        tl.commit("node-00", 1, 7.0)  # free times 0, 5, 5, 7
-        tl.commit("node-00", 1, 5.0)  # the 0 lane joins the two 5s
+        busy = {"node-00": [0.0] * 4, "node-01": [100.0] * 4}
+        tl = _timelines(cluster, {"node-00": 4, "node-01": 4}, busy)
+
+        def place(lanes, size):  # cpu c of 4 on 4 lanes takes c lanes
+            return tl.place_earliest_start((float(lanes), 0.1, 0.0, 0.0), 0.0, size)
+
+        place(2, 5.0)
+        place(1, 7.0)  # free times 0, 5, 5, 7
+        place(1, 5.0)  # the 0 lane joins the two 5s
         assert tl.snapshot_state()["free"]["node-00"] == [5.0, 5.0, 5.0, 7.0]
-        assert tl.earliest_start("node-00", 3, 0.0) == 5.0
-        tl.commit("node-00", 3, 5.0)  # three 5s out, three 5s in
+        assert place(3, 0.0) == ("node-00", 5.0, 5.0)  # three 5s out, three 5s in
         assert tl.snapshot_state()["free"]["node-00"] == [5.0, 5.0, 5.0, 7.0]
-        tl.commit("node-00", 2, 6.0)
+        place(2, 1.0)
         assert tl.snapshot_state()["free"]["node-00"] == [5.0, 6.0, 6.0, 7.0]
 
     def test_restored_snapshot_places_identically(self, cluster):
@@ -189,14 +213,16 @@ class TestLaneLists:
         }
         tl = LaneTimelines(cluster)
         tl.restore_state(snap)
+        tl.ensure_sized([], {"node-00": 1.0, "node-01": 1.0})
         small, full = (1.0, 1.0, 0.02, 0.02), (4.0, 1.0, 0.02, 0.02)
         got = [
-            tl.place_eft((2.0, 1.0, 0.02, 0.02), 0.5, lambda n: 3.0),
-            tl.place_earliest_start(small, 0.0, lambda n: 2.0),
-            # Both nodes finish at 8.0; the earlier start wins.
-            tl.place_eft(full, 0.0, lambda n: {"node-00": 1.0, "node-01": 4.0}[n]),
-            tl.place_earliest_start((0.5, 3.0, 0.02, 0.02), 6.0, lambda n: 1.5),
-            tl.place_eft(small, 0.0, lambda n: 0.25),
+            tl.place_eft((2.0, 1.0, 0.02, 0.02), 0.5, 3.0),
+            tl.place_earliest_start(small, 0.0, 2.0),
+            # Both nodes finish at 8.0 (node-01 pays a 3 s input fetch
+            # from node-00); the earlier start wins.
+            tl.place_eft(full, 0.0, 1.0, ("node-00", 3000.0)),
+            tl.place_earliest_start((0.5, 3.0, 0.02, 0.02), 6.0, 1.5),
+            tl.place_eft(small, 0.0, 0.25),
         ]
         assert got == [
             ("node-01", 1.0, 4.0),
@@ -215,16 +241,21 @@ class TestLaneLists:
 class HeapLanes(LaneTimelines):
     """Reference lane model: each node's lanes a binary heap, the k-th free
     time read with ``nsmallest`` and an occupancy committed as k pops and
-    k pushes, the dominant share a generator ``max``."""
+    k pushes, the dominant share a generator ``max``, and each node's
+    duration worked out on its own.  ``calls`` counts placements."""
 
-    def ensure_sized(self, jobs):
+    calls = 0
+
+    def ensure_sized(self, jobs, rates):
+        self.rates = rates
         if getattr(self, "heaps", None) is None:
             self.heaps = {
                 nid: [0.0] * count
                 for nid, count in demand_sized_lanes(self._cluster, jobs).items()
             }
 
-    def _pick(self, demand, ready):
+    def _pick(self, demand, ready, size_mi, located):
+        self.calls += 1
         for node in self._cluster:
             cap = node.capacity.as_tuple()
             heap = self.heaps[node.node_id]
@@ -232,7 +263,10 @@ class HeapLanes(LaneTimelines):
                 (demand[d] / cap[d] for d in range(4) if cap[d] > 0), default=0.0
             )
             k = min(len(heap), max(1, math.ceil(share * len(heap))))
-            yield node.node_id, k, max(heapq.nsmallest(k, heap)[-1], ready)
+            duration = size_mi / self.rates[node.node_id]
+            if located is not None and located[0] != node.node_id:
+                duration += located[1] / node.bandwidth_capacity
+            yield node.node_id, k, max(heapq.nsmallest(k, heap)[-1], ready), duration
 
     def _commit(self, nid, k, end):
         for _ in range(k):
@@ -240,17 +274,20 @@ class HeapLanes(LaneTimelines):
         for _ in range(k):
             heapq.heappush(self.heaps[nid], end)
 
-    def place_eft(self, demand, ready, exec_time_of):
+    def place_eft(self, demand, ready, size_mi, located=None):
         end, start, nid, k = min(
-            (start + exec_time_of(nid), start, nid, k)
-            for nid, k, start in self._pick(demand, ready)
+            (start + duration, start, nid, k)
+            for nid, k, start, duration in self._pick(demand, ready, size_mi, located)
         )
         self._commit(nid, k, end)
         return nid, start, end
 
-    def place_earliest_start(self, demand, ready, exec_time_of):
-        start, nid, k = min((start, nid, k) for nid, k, start in self._pick(demand, ready))
-        end = start + exec_time_of(nid)
+    def place_earliest_start(self, demand, ready, size_mi, located=None):
+        start, nid, k, duration = min(
+            (start, nid, k, duration)
+            for nid, k, start, duration in self._pick(demand, ready, size_mi, located)
+        )
+        end = start + duration
         self._commit(nid, k, end)
         return nid, start, end
 
@@ -276,8 +313,9 @@ class TestPlannersMatchHeapLanes:
             "graphene": GrapheneLiteScheduler,
         }[planner]
         jobs = build_workload(WorkloadSpec(num_jobs=6, scale=40.0), rng=seed).by_arrival()
+        heap = HeapLanes(cluster)
         plans = []
-        for lanes in (None, HeapLanes(cluster)):
+        for lanes in (None, heap):
             sched = make(cluster)
             if lanes is not None:
                 sched._timelines = lanes
@@ -285,4 +323,111 @@ class TestPlannersMatchHeapLanes:
                 {t: (a.node_id, a.start, a.finish) for t, a in sched.schedule(batch).assignments.items()}
                 for batch in (jobs[:3], jobs[3:])
             ])
+        assert heap.calls == sum(len(job.tasks) for job in jobs)
         assert plans[0] == plans[1]
+
+
+class ScanLanes(LaneTimelines):
+    """Reference placement: every node scanned on its own in cluster order,
+    its lane count and duration worked out per node, ties broken by the
+    full ``(finish, start, node id)`` / ``(start, node id)`` key."""
+
+    def _candidates(self, demand, ready, size_mi, located):
+        for node in self._cluster:
+            nid = node.node_id
+            lanes = self._free[nid]
+            k = self.lanes_needed(nid, demand)
+            start = max(lanes[k - 1], ready)
+            duration = size_mi / self.rates[nid]
+            if located is not None and located[0] != nid:
+                duration += located[1] / node.bandwidth_capacity
+            yield start + duration, start, nid, k
+
+    def ensure_sized(self, jobs, rates):
+        self.rates = rates
+        super().ensure_sized(jobs, rates)
+
+    def _commit(self, nid, k, start, end):
+        lanes = self._free[nid]
+        del lanes[:k]
+        lanes.extend([end] * k)
+        lanes.sort()
+        return nid, start, end
+
+    def place_eft(self, demand, ready, size_mi, located=None):
+        end, start, nid, k = min(self._candidates(demand, ready, size_mi, located))
+        return self._commit(nid, k, start, end)
+
+    def place_earliest_start(self, demand, ready, size_mi, located=None):
+        start, nid, end, k = min(
+            (start, nid, end, k)
+            for end, start, nid, k in self._candidates(demand, ready, size_mi, located)
+        )
+        return self._commit(nid, k, start, end)
+
+
+# Node shapes (cpu, mem, bandwidth) x Eq. 1 scale: the same shape at two
+# rates, and the same rate at two bandwidths (a capacity dimension).
+_SHAPES = [(4.0, 4.0, 1000.0), (4.0, 4.0, 500.0), (8.0, 16.0, 1000.0)]
+_MIPS = [100.0, 250.0]
+_TIMES = [0.0, 1.0, 2.0, 3.0, 5.0]  # few values, so lanes and ready tie
+
+
+@st.composite
+def _placement_case(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    ids = draw(st.permutations([f"n{i}" for i in range(n)]))  # cluster order
+    nodes, lanes, free = [], {}, {}
+    for nid in ids:
+        cpu, mem, bw = draw(st.sampled_from(_SHAPES))
+        nodes.append(NodeSpec(
+            node_id=nid, cpu_size=cpu, mem_size=mem, bandwidth_capacity=bw,
+            mips_per_unit=draw(st.sampled_from(_MIPS)),
+        ))
+        lanes[nid] = draw(st.integers(min_value=1, max_value=4))
+        free[nid] = sorted(draw(st.lists(
+            st.sampled_from(_TIMES), min_size=lanes[nid], max_size=lanes[nid]
+        )))
+    task = st.tuples(
+        st.tuples(
+            st.sampled_from([0.5, 1.0, 2.0, 4.0, 8.0]),
+            st.sampled_from([0.5, 2.0, 8.0]),
+            st.just(0.0),
+            st.sampled_from([0.0, 600.0]),
+        ),
+        st.sampled_from(_TIMES),
+        st.sampled_from([100.0, 350.0, 1000.0]),
+        st.one_of(
+            st.none(),
+            st.tuples(st.sampled_from(ids + ["elsewhere"]), st.sampled_from([0.5, 3000.0])),
+        ),
+    )
+    return Cluster(nodes), lanes, free, draw(st.lists(task, min_size=1, max_size=12))
+
+
+class TestClassPlacement:
+    """Class placement (one scan per node class, stopping at the first node
+    free by ``ready``) equals the per-node reference scan, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_placement_case(), eft=st.booleans())
+    def test_matches_per_node_scan(self, case, eft):
+        cluster, lanes, free, tasks = case
+        rates = {n.node_id: n.processing_rate() for n in cluster}
+        pair = []
+        for cls in (LaneTimelines, ScanLanes):
+            tl = cls(cluster, lanes)
+            tl.restore_state({
+                "fixed": dict(lanes), "lanes": dict(lanes),
+                "free": {nid: list(times) for nid, times in free.items()},
+            })
+            tl.ensure_sized([], rates)
+            pair.append(tl)
+        for demand, ready, size_mi, located in tasks:
+            got = []
+            for tl in pair:
+                place = tl.place_eft if eft else tl.place_earliest_start
+                nid, start, end = place(demand, ready, size_mi, located)
+                got.append((nid, start.hex(), end.hex()))
+            assert got[0] == got[1], (demand, ready, size_mi, located)
+            assert pair[0].snapshot_state() == pair[1].snapshot_state()

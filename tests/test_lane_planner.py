@@ -5,6 +5,8 @@ import hashlib
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import AaloScheduler, FCFSScheduler, GrapheneLiteScheduler, TetrisScheduler
 from repro.cluster import Cluster, ec2_node, palmetto_node, uniform_cluster
@@ -145,3 +147,53 @@ def test_kill_and_resume_parity(name, tmp_path):
     assert outcome.status == "ok", (outcome, record)
     # The resumed run restored planner state with scheduling rounds ahead.
     assert record["rounds_left"], record
+
+
+def _assert_plan_feasible(planner, rounds) -> None:
+    """Every start is at or after its job's arrival and its parents'
+    planned finishes, and at every instant the lanes of a node's
+    overlapping tasks fit its lane count."""
+    timelines = planner._timelines
+    plan = {}
+    for jobs, schedule in rounds:
+        for job in jobs:
+            for tid, task in job.tasks.items():
+                a = schedule.assignments[tid]
+                assert a.start >= job.arrival_time, (tid, a.start, job.arrival_time)
+                for p in task.parents:
+                    assert a.start >= schedule.assignments[p].finish, (tid, p)
+                plan[tid] = (a, timelines.lanes_needed(a.node_id, task.demand.as_tuple()))
+    by_node: dict[str, list] = {}
+    for a, k in plan.values():
+        by_node.setdefault(a.node_id, []).append((a.start, a.finish, k))
+    for nid, spans in by_node.items():
+        for at, _, _ in spans:
+            busy = sum(k for start, finish, k in spans if start <= at < finish)
+            assert busy <= timelines.lanes[nid], (nid, at, busy)
+
+
+class TestPlanFeasibility:
+    """Over drawn multi-round batches, every lane planner's plan honours
+    release times, precedence and per-node lane capacity."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        jobs=st.integers(min_value=1, max_value=7),
+        cuts=st.lists(st.integers(min_value=1, max_value=6), max_size=3),
+        located=st.booleans(),
+        mixed=st.booleans(),
+    )
+    def test_precedence_and_lane_capacity(self, seed, jobs, cuts, located, mixed):
+        cluster = _mixed_cluster() if mixed else uniform_cluster(3)
+        workload = build_workload(
+            WorkloadSpec(num_jobs=jobs, scale=40.0), rng=seed
+        ).by_arrival()
+        if located:
+            workload = with_random_inputs(workload, cluster, rng=seed)
+        bounds = sorted({0, len(workload), *(c for c in cuts if c < len(workload))})
+        batches = [workload[a:b] for a, b in zip(bounds, bounds[1:])]
+        for make in LANE_PLANNERS.values():
+            planner = make(cluster)
+            rounds = [(batch, planner.schedule(batch)) for batch in batches]
+            _assert_plan_feasible(planner, rounds)
